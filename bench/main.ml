@@ -197,17 +197,10 @@ let run_check () =
 
 (* Counter totals the CI gates key on; must be read before the Bechamel
    stage, whose timing-dependent iteration counts keep ticking cache.hit. *)
-let gate_counters =
-  [
-    "exact.bb.nodes"; "cache.hit"; "cache.miss"; "ml.levels"; "ml.refine.moves";
-    "fabric.builds"; "constructions.dimension.cuts"; "product.sandwich.checks";
-    "campaign.instances"; "campaign.oracle.checks";
-  ]
-
 let gate_snapshot () =
   List.map
     (fun name -> (name, Metrics.counter_value (Metrics.counter name)))
-    gate_counters
+    Bfly_check.Bench_gate.counters
 
 (* one Bechamel test per experiment kernel *)
 let micro_tests () =
@@ -358,12 +351,14 @@ let iso8601_utc () =
     (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
     t.Unix.tm_sec
 
+let mode = if smoke then "smoke" else "full"
+
 let json_document ~experiments ~check ~gate ~kernels =
   Json.Obj
     [
       ("schema", Json.Str "bfly-bench/2");
       ("generated_at", Json.Str (iso8601_utc ()));
-      ("mode", Json.Str (if smoke then "smoke" else "full"));
+      ("mode", Json.Str mode);
       ("chaos", Json.Bool chaos);
       ( "deadline",
         match deadline with
@@ -415,7 +410,7 @@ let values_document ~experiments =
   Json.Obj
     [
       ("schema", Json.Str "bfly-bench-values/1");
-      ("mode", Json.Str (if smoke then "smoke" else "full"));
+      ("mode", Json.Str mode);
       ( "experiments",
         Json.List
           (List.map
@@ -433,130 +428,37 @@ let write_doc file doc =
 (* ---- --compare: counter-based regression gate ---- *)
 
 (* Diff the deterministic fields of this build's run against a committed
-   baseline document: per-experiment measured outputs, the gate counter
-   totals, and the oracle summary. Timings, timestamps and Bechamel
-   estimates are never compared (and Bechamel never runs here). *)
+   baseline document under Bench_gate.schema. The configuration fields
+   are checked before anything runs, so a mismatched baseline is refused
+   in milliseconds rather than after the full reproduction stage. *)
 let compare_run baseline_file =
+  let refuse m =
+    Printf.eprintf "refusing to compare against %s: %s\n" baseline_file m;
+    exit 2
+  in
   let baseline =
-    match In_channel.with_open_text baseline_file In_channel.input_all with
-    | exception Sys_error e ->
-        Printf.eprintf "cannot read baseline: %s\n" e;
-        exit 2
-    | text -> (
-        match Json.of_string text with
-        | Ok doc -> doc
-        | Error e ->
-            Printf.eprintf "baseline %s is not valid JSON: %s\n" baseline_file e;
-            exit 2)
+    Result.fold ~ok:Fun.id ~error:refuse (Bfly_obs.Doc.load baseline_file)
   in
-  let drifts = ref [] in
-  let drift fmt = Printf.ksprintf (fun m -> drifts := m :: !drifts) fmt in
-  let str_field name =
-    Option.bind (Json.member name baseline) Json.to_string_opt
+  let gate ~schema doc =
+    match Bfly_obs.Doc.compare ~schema ~baseline doc with
+    | Bfly_obs.Doc.Refused m -> refuse m
+    | Bfly_obs.Doc.Drifts drifts -> drifts
   in
-  (match str_field "schema" with
-  | Some "bfly-bench/2" -> ()
-  | Some other ->
-      Printf.eprintf
-        "baseline schema is %s, need bfly-bench/2 — regenerate the baseline \
-         with --json\n"
-        other;
-      exit 2
-  | None ->
-      Printf.eprintf "baseline has no schema field\n";
-      exit 2);
-  let mode = if smoke then "smoke" else "full" in
-  (match str_field "mode" with
-  | Some m when m = mode -> ()
-  | m ->
-      Printf.eprintf
-        "baseline mode is %s but this run is %s — pass%s --smoke to match\n"
-        (Option.value m ~default:"absent")
-        mode
-        (if smoke then " no" else "");
-      exit 2);
-  (match Option.bind (Json.member "domains" baseline) Json.to_int_opt with
-  | Some d when d <> Bfly_graph.Parallel.domain_count () ->
-      (* heuristic chunking (hence cache traffic) depends on the pool
-         width, so comparing across widths would flag phantom drift *)
-      Printf.eprintf
-        "baseline was generated with %d domains but this run has %d — set \
-         BFLY_DOMAINS to match\n"
-        d
-        (Bfly_graph.Parallel.domain_count ());
-      exit 2
-  | _ -> ());
+  ignore
+    (gate ~schema:Bfly_check.Bench_gate.config
+       (json_document ~experiments:[] ~check:Json.Null ~gate:[] ~kernels:[]));
   let experiments = run_experiments () in
-  let check, check_ok = run_check () in
-  let gate = gate_snapshot () in
-  if not check_ok then drift "oracle battery reported failures in this build";
-  (* experiment outputs, matched by name *)
-  let baseline_experiments =
-    match Json.member "experiments" baseline with
-    | Some (Json.List l) ->
-        List.filter_map
-          (fun e ->
-            match
-              ( Option.bind (Json.member "name" e) Json.to_string_opt,
-                Option.bind (Json.member "output" e) Json.to_string_opt )
-            with
-            | Some n, Some o -> Some (n, o)
-            | _ -> None)
-          l
-    | _ ->
-        drift "baseline has no experiments list";
-        []
-  in
-  List.iter
-    (fun (name, out, _, _, _) ->
-      match List.assoc_opt name baseline_experiments with
-      | None -> drift "experiment %s missing from baseline" name
-      | Some base when base <> out ->
-          let first_diff a b =
-            let la = String.split_on_char '\n' a
-            and lb = String.split_on_char '\n' b in
-            let rec go i = function
-              | a :: ra, b :: rb ->
-                  if a = b then go (i + 1) (ra, rb)
-                  else Printf.sprintf "line %d: %S vs baseline %S" i a b
-              | a :: _, [] -> Printf.sprintf "extra line %d: %S" i a
-              | [], b :: _ -> Printf.sprintf "missing line %d: %S" i b
-              | [], [] -> "?"
-            in
-            go 1 (la, lb)
-          in
-          drift "experiment %s output drifted (%s)" name (first_diff out base)
-      | Some _ -> ())
-    experiments;
-  List.iter
-    (fun (name, _) ->
-      if not (List.exists (fun (n, _, _, _, _) -> n = name) experiments) then
-        drift "experiment %s in baseline but not produced by this build" name)
-    baseline_experiments;
-  (* gate counters *)
-  (match Json.member "gate" baseline with
-  | Some g ->
-      List.iter
-        (fun (name, v) ->
-          match Option.bind (Json.member name g) Json.to_int_opt with
-          | None -> drift "gate counter %s missing from baseline" name
-          | Some b when b <> v -> drift "gate counter %s = %d, baseline %d" name v b
-          | Some _ -> ())
-        gate
-  | None -> drift "baseline has no gate object");
-  (* oracle summary, as one canonical string *)
-  (match Json.member "check" baseline with
-  | Some b when Json.to_string b <> Json.to_string check ->
-      drift "oracle summary drifted from baseline (diff the check fields of \
-             the two documents)"
-  | Some _ -> ()
-  | None -> drift "baseline has no check object");
-  match List.rev !drifts with
+  let check, _ = run_check () in
+  let gate_values = gate_snapshot () in
+  match
+    gate ~schema:Bfly_check.Bench_gate.schema
+      (json_document ~experiments ~check ~gate:gate_values ~kernels:[])
+  with
   | [] ->
       Printf.printf
         "\ncompare: OK — %d experiment outputs, %d gate counters and the \
          oracle summary match %s\n"
-        (List.length experiments) (List.length gate) baseline_file;
+        (List.length experiments) (List.length gate_values) baseline_file;
       0
   | drifts ->
       Printf.printf "\ncompare: %d drift(s) against %s\n" (List.length drifts)

@@ -10,6 +10,7 @@
    bfly_tool route     <n>                 greedy routing simulation
    bfly_tool serve                         batch query service (NDJSON)
    bfly_tool loadgen --trace FILE          deterministic load replay + gate
+   bfly_tool doc get FILE PATH...          read fields of a JSON run document
    bfly_tool experiments [IDS]             reproduce the paper's tables
 
    The solver subcommands (bw, expansion, mos) execute through
@@ -28,10 +29,6 @@ let network_conv =
   let parse s = Result.map_error (fun m -> `Msg m) (Job.net_of_string s) in
   let print ppf net = Format.pp_print_string ppf (Job.net_name net) in
   Arg.conv (parse, print)
-
-let log2_exact n =
-  let rec go l v = if v = n then Some l else if v > n then None else go (l + 1) (2 * v) in
-  if n < 1 then None else go 0 1
 
 let graph_of = Job.graph_of
 
@@ -108,6 +105,35 @@ let metrics_arg =
 let finishing metrics code =
   if metrics then print_endline (Bfly_obs.Metrics.to_json_string ());
   code
+
+(* The shared tail of the document-producing subcommands: [--json FILE]
+   writes [doc] as one line, then [--compare FILE] gates it against a
+   committed baseline under [schema]. *)
+let write_and_compare ~what ~schema ~json_file ~compare_file doc =
+  let ( let* ) = Result.bind in
+  let* () =
+    match json_file with
+    | None -> Ok ()
+    | Some file -> (
+        try
+          Out_channel.with_open_text file (fun oc ->
+              Ok (Printf.fprintf oc "%s\n" (Bfly_obs.Json.to_string doc)))
+        with Sys_error e -> Error e)
+  in
+  match compare_file with
+  | None -> Ok ()
+  | Some file -> (
+      let* baseline = Bfly_obs.Doc.load file in
+      match Bfly_obs.Doc.compare ~schema ~baseline doc with
+      | Bfly_obs.Doc.Refused m ->
+          Error (Printf.sprintf "%s: refusing to compare against %s: %s" what file m)
+      | Bfly_obs.Doc.Drifts [] ->
+          Printf.eprintf "%s: no drift against %s\n" what file;
+          Ok ()
+      | Bfly_obs.Doc.Drifts drifts ->
+          Error
+            (Printf.sprintf "%s drift against %s:\n  %s" what file
+               (String.concat "\n  " drifts)))
 
 (* ---- --no-cache ---- *)
 
@@ -198,7 +224,7 @@ let bisect_run metrics no_cache deadline net n dot =
          "bisect covers the butterfly families; use 'bw ml --graph SPEC' \
           (heuristic) or 'bw exact --graph SPEC' for fabrics"
      else
-     match log2_exact n with
+     match B.log2_exact n with
     | None -> Error "n must be a power of two"
     | Some _ -> (
         let bracket =
@@ -280,7 +306,7 @@ let expansion_cmd =
 let render_run metrics n dot =
   finishing metrics @@
   handle
-    (match log2_exact n with
+    (match B.log2_exact n with
     | None -> Error "n must be a power of two"
     | Some log_n ->
         let b = B.create ~log_n in
@@ -305,7 +331,7 @@ let render_cmd =
 let route_run metrics n seed =
   finishing metrics @@
   handle
-    (match log2_exact n with
+    (match B.log2_exact n with
     | None -> Error "n must be a power of two"
     | Some log_n ->
         let b = B.create ~log_n in
@@ -344,7 +370,7 @@ let mos_cmd =
 let iosep_run metrics n =
   finishing metrics @@
   handle
-    (match log2_exact n with
+    (match B.log2_exact n with
     | None -> Error "n must be a power of two"
     | Some log_n ->
         let b = B.create ~log_n in
@@ -370,7 +396,7 @@ let iosep_cmd =
 let layout_run metrics n =
   finishing metrics @@
   handle
-    (match log2_exact n with
+    (match B.log2_exact n with
     | None -> Error "n must be a power of two"
     | Some log_n ->
         let b = B.create ~log_n in
@@ -582,35 +608,10 @@ let campaign_run metrics no_cache deadline degree sizes seeds restarts
      supervised deadline @@ fun () ->
      let* t = Bfly_check.Campaign.run ~restarts ~degree ~sizes ~seeds () in
      print_string (Bfly_check.Campaign.render t);
-     let doc = Bfly_check.Campaign.to_json t in
      let* () =
-       match json_file with
-       | None -> Ok ()
-       | Some file -> (
-           try
-             Ok
-               (Out_channel.with_open_text file (fun oc ->
-                    Printf.fprintf oc "%s\n" (Bfly_obs.Json.to_string doc)))
-           with Sys_error e -> Error e)
-     in
-     let* () =
-       match compare_file with
-       | None -> Ok ()
-       | Some file -> (
-           let* baseline =
-             try
-               Bfly_obs.Json.of_string
-                 (In_channel.with_open_text file In_channel.input_all)
-             with Sys_error e -> Error e
-           in
-           match Bfly_check.Campaign.compare_docs ~baseline doc with
-           | [] ->
-               Printf.eprintf "campaign: no drift against %s\n" file;
-               Ok ()
-           | drifts ->
-               Error
-                 (Printf.sprintf "campaign drift against %s:\n  %s" file
-                    (String.concat "\n  " drifts)))
+       write_and_compare ~what:"campaign" ~schema:Bfly_check.Campaign.gate
+         ~json_file ~compare_file
+         (Bfly_check.Campaign.to_json t)
      in
      if t.Bfly_check.Campaign.ok then Ok ()
      else Error "campaign statistical oracle failed")
@@ -672,6 +673,43 @@ let campaign_cmd =
       const campaign_run $ metrics_arg $ no_cache_arg $ deadline_arg $ degree
       $ sizes $ seeds $ restarts $ json_out $ compare_file)
 
+(* ---- doc ---- *)
+
+let doc_get_run file paths =
+  handle
+    (Result.bind (Bfly_obs.Doc.load file) @@ fun doc ->
+     let values = List.map (Bfly_obs.Doc.get doc) paths in
+     match List.find_index Option.is_none values with
+     | Some i -> Error (Printf.sprintf "%s has no field %s" file (List.nth paths i))
+     | None ->
+         List.iter
+           (function
+             | Some (Bfly_obs.Json.Str s) -> print_endline s
+             | Some v -> print_endline (Bfly_obs.Json.to_string v)
+             | None -> ())
+           values;
+         Ok ())
+
+let doc_cmd =
+  let file =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
+  in
+  let paths =
+    Arg.(non_empty & pos_right 0 string [] & info [] ~docv:"PATH")
+  in
+  Cmd.group
+    (Cmd.info "doc" ~doc:"Read fields of a JSON run document")
+    [
+      Cmd.v
+        (Cmd.info "get"
+           ~doc:
+             "Print the value at each '/'-separated PATH of FILE (e.g. \
+              gate/cache.hit), one per line: strings raw, the rest as \
+              compact JSON. Exits non-zero, printing nothing, when any \
+              PATH is absent.")
+        Term.(const doc_get_run $ file $ paths);
+    ]
+
 (* ---- cache ---- *)
 
 let cache_stats_run metrics =
@@ -726,7 +764,7 @@ let cache_warm_run metrics max_n =
         ignore (Bfly_core.Bw.ccc nn)
       end;
       ignore (Bfly_mos.Mos_analysis.bw_m2 nn);
-      (match log2_exact nn with
+      (match B.log2_exact nn with
       | Some log_n when log_n >= 2 ->
           ignore (Bfly_cuts.Constructions.best_mos_pullback (B.create ~log_n))
       | _ -> ());
@@ -935,32 +973,10 @@ let loadgen_run metrics no_cache trace_file clients repeat seed qps workers
        Bfly_serve.Loadgen.run ~seed ~clients ~repeat ~qps ?workers
          ?queue_bound:queue ~mode ~trace ()
      in
-     let text = Bfly_obs.Json.to_string doc in
-     (match json_out with
-     | Some file -> Out_channel.with_open_text file (fun oc ->
-           Printf.fprintf oc "%s\n" text)
-     | None -> ());
-     print_endline text;
-     match compare_file with
-     | None -> Ok ()
-     | Some file -> (
-         let* baseline =
-           try
-             Bfly_obs.Json.of_string
-               (In_channel.with_open_text file In_channel.input_all)
-           with Sys_error e -> Error e
-         in
-         match
-           Bfly_serve.Loadgen.compare_docs ~slack ~timing:(not no_timing)
-             ~baseline doc
-         with
-         | [] ->
-             Printf.eprintf "loadgen: no drift against %s\n" file;
-             Ok ()
-         | drifts ->
-             Error
-               (Printf.sprintf "loadgen drift against %s:\n  %s" file
-                  (String.concat "\n  " drifts))))
+     print_endline (Bfly_obs.Json.to_string doc);
+     write_and_compare ~what:"loadgen"
+       ~schema:(Bfly_serve.Loadgen.gate ~slack ~timing:(not no_timing) ())
+       ~json_file:json_out ~compare_file doc)
 
 let loadgen_cmd =
   let trace =
@@ -1131,4 +1147,5 @@ let () =
             info_cmd; bisect_cmd; bw_cmd; expansion_cmd; render_cmd;
             route_cmd; mos_cmd; iosep_cmd; layout_cmd; check_cmd;
             campaign_cmd; serve_cmd; loadgen_cmd; experiments_cmd; cache_cmd;
+            doc_cmd;
           ]))

@@ -16,9 +16,8 @@
 #            work, never correctness
 #   doc      dune build @doc-private — the libraries are private, so the
 #            plain @doc alias is empty (skipped when odoc is not
-#            installed) — plus the perf-docs check: every gate counter
-#            named in test/test_bench_json.ml's gate_fields must appear
-#            backtick-quoted in PERFORMANCE.md
+#            installed). The perf-docs check (every gate counter
+#            backtick-quoted in PERFORMANCE.md) is a runtest case.
 #   serve    bfly_serve smoke: coalescing, one-shot byte-identity,
 #            admission control, and a concurrent 4-client TCP replay
 #            byte-identical to the sequential one, drained by SIGTERM
@@ -35,6 +34,8 @@
 #   resume   interrupted exact search resumes to the uninterrupted value
 #   compare  bench --compare against the committed baseline: experiment
 #            outputs, gate counters and oracle summary must not drift
+#   perfbench  the benchmark's own tests (python3 perfbench/test_bench.py):
+#            BENCHMARK.json contract, and injected wrong outputs fail a run
 #
 # Every run ends with a per-stage wall-clock summary; under GitHub
 # Actions the same rows are appended to $GITHUB_STEP_SUMMARY as a
@@ -44,7 +45,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-ALL_STAGES="build fmt runtest check chaos doc serve loadgen campaign warm resume compare"
+ALL_STAGES="build fmt runtest check chaos doc serve loadgen campaign warm resume compare perfbench"
 BASELINE=BENCH_2026-08-08.json
 CAMPAIGN_BASELINE=CAMPAIGN_2026-08-08.json
 LOADGEN_BASELINE=LOADGEN_2026-08-08.json
@@ -55,14 +56,9 @@ LOADGEN_DC_TRACE=bench/loadgen_dc_trace.ndjson
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 
-extract() { # extract FIELD FILE -> first integer value of "FIELD":N
-  # the first occurrence in a bench JSON document is the pre-Bechamel
-  # "gate" snapshot, which is the deterministic one. The document is a
-  # single line, so this must be grep -o (all matches, in order), not a
-  # greedy sed s///, which would land on the LAST occurrence — the
-  # post-Bechamel metrics dump, polluted by micro-benchmark iterations.
-  grep -o "\"$(printf '%s' "$1" | sed 's/\./\\./g')\":[0-9][0-9]*" "$2" \
-    | head -n 1 | cut -d: -f2
+# doc_get FILE PATH... — print fields of a JSON run document, one per line
+doc_get() {
+  dune exec -- bin/bfly_tool.exe doc get "$@"
 }
 
 # ---- stages ----
@@ -124,23 +120,6 @@ stage_doc() {
   else
     echo "odoc not installed; skipping @doc-private check"
   fi
-  # perf-docs: PERFORMANCE.md documents the gate counters by name; keep
-  # that list honest against the one the bench-JSON tests enforce
-  # (gate_fields in test/test_bench_json.ml). Each counter must appear
-  # backtick-quoted so renames fail CI instead of silently drifting.
-  fields=$(sed -n '/^let gate_fields/,/\]/p' test/test_bench_json.ml \
-    | grep -o '"[a-z._]*"' | tr -d '"')
-  [ -n "$fields" ] || {
-    echo "FAIL: could not extract gate_fields from test/test_bench_json.ml" >&2
-    exit 1
-  }
-  for f in $fields; do
-    grep -qF "\`$f\`" PERFORMANCE.md || {
-      echo "FAIL: gate counter $f is not documented in PERFORMANCE.md" >&2
-      exit 1
-    }
-  done
-  echo "perf-docs: all $(printf '%s\n' $fields | wc -l) gate counters documented in PERFORMANCE.md"
 }
 
 # Query-service smoke: a small trace with six duplicate requests must
@@ -258,10 +237,6 @@ stage_serve() {
 # machine; and when the box has enough cores, concurrent serving must
 # actually outrun the sequential replay.
 stage_loadgen() {
-  [ -f "$LOADGEN_BASELINE" ] || {
-    echo "FAIL: committed baseline $LOADGEN_BASELINE is missing" >&2
-    exit 1
-  }
   # cross-machine deterministic gate against the committed document
   BFLY_CACHE_DIR="$scratch/lg-cache" dune exec -- bin/bfly_tool.exe \
     loadgen --trace "$LOADGEN_TRACE" --seed 1 --clients 4 --repeat 10 \
@@ -269,10 +244,6 @@ stage_loadgen() {
   # data-center mix: the fabric-job trace (ml/exact/spectral on meshes,
   # tori, bcubes, plus malformed-request probes) against its own
   # committed baseline — deterministic fields only, cross-machine
-  [ -f "$LOADGEN_DC_BASELINE" ] || {
-    echo "FAIL: committed baseline $LOADGEN_DC_BASELINE is missing" >&2
-    exit 1
-  }
   BFLY_CACHE_DIR="$scratch/lg-dc-cache" dune exec -- bin/bfly_tool.exe \
     loadgen --trace "$LOADGEN_DC_TRACE" --seed 1 --clients 4 --repeat 10 \
     --compare "$LOADGEN_DC_BASELINE" --no-timing > /dev/null
@@ -295,8 +266,8 @@ stage_loadgen() {
     BFLY_DOMAINS=4 dune exec -- bin/bfly_tool.exe loadgen \
       --trace "$LOADGEN_TRACE" --seed 3 --clients 4 --repeat 3 \
       --workers 4 --no-cache --json "$scratch/lg-4.json" > /dev/null
-    seq_qps=$(sed -n 's/.*"achieved_qps":\([0-9.]*\).*/\1/p' "$scratch/lg-1.json" | head -n 1)
-    conc_qps=$(sed -n 's/.*"achieved_qps":\([0-9.]*\).*/\1/p' "$scratch/lg-4.json" | head -n 1)
+    seq_qps=$(doc_get "$scratch/lg-1.json" timing/achieved_qps)
+    conc_qps=$(doc_get "$scratch/lg-4.json" timing/achieved_qps)
     echo "sequential $seq_qps qps; 4-worker concurrent $conc_qps qps"
     awk "BEGIN { exit !($conc_qps >= 2 * $seq_qps) }" || {
       echo "FAIL: 4 workers did not reach 2x the sequential throughput" >&2
@@ -316,10 +287,6 @@ stage_loadgen() {
 # stay green. The JSON lands in _build/ so the workflow can upload it as
 # a per-compiler artifact.
 stage_campaign() {
-  [ -f "$CAMPAIGN_BASELINE" ] || {
-    echo "FAIL: committed baseline $CAMPAIGN_BASELINE is missing" >&2
-    exit 1
-  }
   mkdir -p _build
   BFLY_DOMAINS=1 BFLY_CACHE_DIR="$scratch/campaign-cache" dune exec -- \
     bin/bfly_tool.exe campaign --degree 3 --sizes 64,128 --seeds 3 \
@@ -343,10 +310,12 @@ stage_warm() {
     exit 1
   }
 
-  cold_nodes=$(extract 'exact.bb.nodes' "$scratch/cold.json")
-  warm_nodes=$(extract 'exact.bb.nodes' "$scratch/warm.json")
-  warm_hits=$(extract 'cache.hit' "$scratch/warm.json")
-  warm_misses=$(extract 'cache.miss' "$scratch/warm.json")
+  # the pre-Bechamel "gate" snapshot, not the post-Bechamel "metrics"
+  # dump, whose micro-benchmark iterations keep ticking the counters
+  cold_nodes=$(doc_get "$scratch/cold.json" gate/exact.bb.nodes)
+  warm_nodes=$(doc_get "$scratch/warm.json" gate/exact.bb.nodes)
+  warm_hits=$(doc_get "$scratch/warm.json" gate/cache.hit)
+  warm_misses=$(doc_get "$scratch/warm.json" gate/cache.miss)
   echo "cold: bb nodes $cold_nodes; warm: bb nodes $warm_nodes," \
     "cache hits $warm_hits, misses $warm_misses"
   [ "$cold_nodes" -gt 0 ] || {
@@ -403,16 +372,20 @@ stage_resume() {
 # committed baseline. The domain count and cache state are pinned because
 # both feed the compared counters.
 stage_compare() {
-  [ -f "$BASELINE" ] || {
-    echo "FAIL: committed baseline $BASELINE is missing" >&2
-    exit 1
-  }
   BFLY_DOMAINS=1 BFLY_CACHE_DIR="$scratch/compare-cache" dune exec -- \
     bench/main.exe --compare "$BASELINE" > "$scratch/compare.log" || {
     tail -n 20 "$scratch/compare.log" >&2
     exit 1
   }
   tail -n 1 "$scratch/compare.log"
+}
+
+# The benchmark's own tests: BENCHMARK.json keeps its contract and
+# matches perfbench/metrics.json, the serve schedule is a pure function
+# of the seed, and a run fed a wrong output or a wrong probe answer is
+# marked failed.
+stage_perfbench() {
+  python3 perfbench/test_bench.py
 }
 
 # ---- driver ----

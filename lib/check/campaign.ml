@@ -6,6 +6,7 @@ module Multilevel = Bfly_cuts.Multilevel
 module Heuristics = Bfly_cuts.Heuristics
 module Certificate = Bfly_cuts.Certificate
 module Json = Bfly_obs.Json
+module Doc = Bfly_obs.Doc
 module Metrics = Bfly_obs.Metrics
 
 (* arXiv:2009.00598: the minimum bisection of a random cubic graph is
@@ -324,93 +325,18 @@ let render t =
     (if t.ok then "all passed" else "FAILURES");
   Buffer.contents buf
 
-(* ---- drift comparison against a committed document ---- *)
+(* ---- drift gate against a committed document ---- *)
 
-let geti doc k = Option.bind (Json.member k doc) Json.to_int_opt
-let gets doc k = Option.bind (Json.member k doc) Json.to_string_opt
-
-let doc_instances doc =
-  match Json.member "instances" doc with
-  | Some (Json.List l) ->
-      List.filter_map
-        (fun e ->
-          match
-            ( geti e "n",
-              geti e "seed",
-              geti e "edges",
-              geti e "lb",
-              geti e "ml",
-              geti e "spectral" )
-          with
-          | Some n, Some seed, Some edges, Some lb, Some ml, Some spectral ->
-              Some { n; seed; edges; lb; ml; spectral }
-          | _ -> None)
-        l
-  | _ -> []
-
-(* [compare_docs ~baseline current] — drift messages, empty when every
-   instance of [current] reproduces the committed triple exactly. The
-   current document may cover a sub-grid of the baseline (the CI smoke
-   sweep does); summaries and the oracle verdict are additionally
-   compared when the grids coincide. *)
-let compare_docs ~baseline current =
-  match (gets baseline "schema", gets current "schema") with
-  | Some b, _ when b <> schema ->
-      [ Printf.sprintf "baseline schema is %s, need %s" b schema ]
-  | None, _ -> [ "baseline has no schema field" ]
-  | _, Some c when c <> schema ->
-      [ Printf.sprintf "document schema is %s, need %s" c schema ]
-  | _, None -> [ "document has no schema field" ]
-  | Some _, Some _ ->
-      let drifts = ref [] in
-      let drift fmt = Printf.ksprintf (fun m -> drifts := m :: !drifts) fmt in
-      List.iter
-        (fun k ->
-          match (geti baseline k, geti current k) with
-          | Some b, Some c when b <> c -> drift "%s = %d, baseline %d" k c b
-          | _ -> ())
-        [ "degree"; "restarts" ];
-      let base_instances = doc_instances baseline in
-      List.iter
-        (fun c ->
-          match
-            List.find_opt
-              (fun b -> b.n = c.n && b.seed = c.seed)
-              base_instances
-          with
-          | None -> drift "instance n=%d seed=%d not in baseline" c.n c.seed
-          | Some b ->
-              List.iter
-                (fun (what, cv, bv) ->
-                  if cv <> bv then
-                    drift "instance n=%d seed=%d: %s %d, baseline %d" c.n
-                      c.seed what cv bv)
-                [
-                  ("edges", c.edges, b.edges);
-                  ("lb", c.lb, b.lb);
-                  ("ml", c.ml, b.ml);
-                  ("spectral", c.spectral, b.spectral);
-                ])
-        (doc_instances current);
-      let same_grid =
-        Json.member "sizes" baseline = Json.member "sizes" current
-        && geti baseline "seeds" = geti current "seeds"
-      in
-      if same_grid then begin
-        (match (Json.member "summary" baseline, Json.member "summary" current) with
-        | Some b, Some c when Json.to_string b <> Json.to_string c ->
-            drift "summary drifted (diff the summary fields of the two documents)"
-        | _ -> ());
-        match
-          ( Option.bind (Json.member "oracle" baseline) (Json.member "ok"),
-            Option.bind (Json.member "oracle" current) (Json.member "ok") )
-        with
-        | Some b, Some c when b <> c ->
-            drift "oracle verdict %s, baseline %s" (Json.to_string c)
-              (Json.to_string b)
-        | _ -> ()
-      end;
-      List.rev !drifts
+let gate =
+  [
+    Doc.config "schema";
+    Doc.config "degree";
+    Doc.config "restarts";
+    Doc.rows "instances" ~subset:true ~key:[ "n"; "seed" ]
+      (List.map Doc.exact [ "edges"; "lb"; "ml"; "spectral" ]);
+    Doc.when_same [ "sizes"; "seeds" ]
+      [ Doc.exact "summary"; Doc.exact "oracle/ok" ];
+  ]
 
 (* ---- the registered experiment (chapter C1 of EXPERIMENTS.md) ---- *)
 

@@ -122,13 +122,14 @@ val to_json : t -> Bfly_obs.Json.t
     constants, per-instance triples, per-size summaries (with their
     window or [null]) and the oracle verdict. Byte-stable. *)
 
-val compare_docs : baseline:Bfly_obs.Json.t -> Bfly_obs.Json.t -> string list
-(** [compare_docs ~baseline current] — drift messages, [[]] when clean.
-    Every instance of [current] must reproduce the baseline triple
-    exactly (the current grid may be a sub-grid of the baseline's, which
-    is how the CI smoke stage diffs against the committed full run);
-    when the grids coincide, summaries and the oracle verdict are also
-    compared. Schema, degree and restarts must always match. *)
+val gate : Bfly_obs.Doc.schema
+(** The [--compare] gate. [schema], [degree] and [restarts] must match
+    (else the comparison is refused); every instance row of the current
+    document must reproduce the baseline's [edges]/[lb]/[ml]/[spectral]
+    exactly, matched on [(n, seed)] — the current grid may be a sub-grid
+    of the baseline's, which is how the CI smoke stage diffs against the
+    committed full run; when [sizes] and [seeds] coincide, [summary] and
+    the oracle verdict are compared too. *)
 
 val render : t -> string
 (** Human-readable report: the E1-style convergence table (cut/[n]

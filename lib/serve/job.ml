@@ -78,12 +78,6 @@ let solver_of_string = function
   | s ->
       Error (Printf.sprintf "unknown solver %S (exact|kl|fm|sa|spectral|ml)" s)
 
-let log2_exact n =
-  let rec go l v =
-    if v = n then Some l else if v > n then None else go (l + 1) (2 * v)
-  in
-  if n < 1 then None else go 0 1
-
 let graph_of net n =
   match net with
   | Fabric spec -> (
@@ -93,7 +87,7 @@ let graph_of net n =
       | fab -> Ok (Fabric.graph fab, Fabric.name_of fab)
       | exception Invalid_argument m -> Error m)
   | _ -> (
-      match log2_exact n with
+      match B.log2_exact n with
       | None -> Error "n must be a power of two"
       | Some log_n -> (
           match net with

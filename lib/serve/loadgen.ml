@@ -1,6 +1,7 @@
 module Json = Bfly_obs.Json
 module Metrics = Bfly_obs.Metrics
 module Span = Bfly_obs.Span
+module Doc = Bfly_obs.Doc
 
 let g_qps = Metrics.gauge "serve.qps"
 
@@ -350,16 +351,7 @@ let run ?(seed = 1) ?(clients = 4) ?(repeat = 10) ?(qps = 0.) ?workers
              ~responses ~lat ~wall_ns ~server_stats)
   end
 
-(* ---- views and comparison ---- *)
-
-let deterministic_view doc =
-  match doc with
-  | Json.Obj fields ->
-      Json.Obj
-        (List.filter
-           (fun (k, _) -> k <> "timing" && k <> "server")
-           fields)
-  | other -> other
+(* ---- the --compare gate ---- *)
 
 (* the fields two runs of one (trace, seed, clients, repeat) must agree
    on whatever the mode, worker count or machine: the schedule and the
@@ -367,7 +359,6 @@ let deterministic_view doc =
    bytes not depending on them is the concurrency contract. *)
 let deterministic_fields =
   [
-    "schema";
     "seed";
     "clients";
     "repeat";
@@ -380,45 +371,12 @@ let deterministic_fields =
     "outputs_fingerprint";
   ]
 
-let field_str doc k =
-  match Json.member k doc with
-  | Some (Json.Str s) -> Some s
-  | Some (Json.Int i) -> Some (string_of_int i)
-  | Some (Json.Float f) -> Some (string_of_float f)
-  | Some (Json.Bool b) -> Some (string_of_bool b)
-  | _ -> None
-
-let timing_field doc k =
-  match Json.member "timing" doc with
-  | Some t -> (
-      match Json.member k t with
-      | Some (Json.Int i) -> Some (float_of_int i)
-      | Some (Json.Float f) -> Some f
-      | _ -> None)
-  | None -> None
-
-let compare_docs ?(slack = 3.0) ?(timing = true) ~baseline current =
-  let drifts = ref [] in
-  let drift fmt = Printf.ksprintf (fun m -> drifts := m :: !drifts) fmt in
-  List.iter
-    (fun k ->
-      match (field_str baseline k, field_str current k) with
-      | Some b, Some c when b = c -> ()
-      | Some b, Some c -> drift "%s: baseline %s, current %s" k b c
-      | None, _ -> drift "%s: missing from baseline" k
-      | _, None -> drift "%s: missing from current document" k)
-    deterministic_fields;
-  if timing then begin
-    (match (timing_field baseline "p99_ns", timing_field current "p99_ns") with
-    | Some b, Some c when b > 0. && c > b *. slack ->
-        drift "p99_ns: %.0f exceeds baseline %.0f by more than %.1fx" c b slack
-    | _ -> ());
-    match
-      (timing_field baseline "achieved_qps", timing_field current "achieved_qps")
-    with
-    | Some b, Some c when b > 0. && c < b /. slack ->
-        drift "achieved_qps: %.1f is below baseline %.1f by more than %.1fx" c
-          b slack
-    | _ -> ()
-  end;
-  List.rev !drifts
+let gate ?(slack = 3.0) ?(timing = true) () =
+  (Doc.config "schema" :: List.map Doc.exact deterministic_fields)
+  @
+  if timing then
+    [
+      Doc.slack ~better:`Lower slack "timing/p99_ns";
+      Doc.slack ~better:`Higher slack "timing/achieved_qps";
+    ]
+  else []

@@ -23,7 +23,7 @@
       [max_ns] — compared only against a slack factor, and [server], the
       server's stats object, kept for inspection only.
 
-    {!compare_docs} is the CI gate: deterministic drift always fails;
+    {!gate} is the CI gate: deterministic drift always fails;
     timing drift fails only beyond [slack], and can be disabled entirely
     ([timing:false]) when comparing against a baseline recorded on
     different hardware. *)
@@ -69,21 +69,13 @@ val run :
     dropped; an empty trace is an [Error]. Also publishes the achieved
     rate as the [serve.qps] gauge. *)
 
-val deterministic_view : Bfly_obs.Json.t -> Bfly_obs.Json.t
-(** The document minus its [timing] and [server] fields — what must be
-    identical across repeated runs of the same parameters. *)
-
-val compare_docs :
-  ?slack:float ->
-  ?timing:bool ->
-  baseline:Bfly_obs.Json.t ->
-  Bfly_obs.Json.t ->
-  string list
-(** Drift messages, empty when [current] is acceptable against
-    [baseline]. Deterministic fields must match exactly. When [timing]
-    (default [true]), [p99_ns] may not exceed baseline by more than
-    [slack] (default 3.0) and [achieved_qps] may not fall below baseline
-    by more than [slack]. *)
+val gate : ?slack:float -> ?timing:bool -> unit -> Bfly_obs.Doc.schema
+(** The [--compare] gate: [schema] must match (else the comparison is
+    refused) and every deterministic field must be equal. When [timing]
+    (default [true]), [timing/p99_ns] may not exceed the baseline by more
+    than [slack] (default 3.0) and [timing/achieved_qps] may not fall
+    below it by more than [slack]; either one missing on either side is
+    drift. *)
 
 (**/**)
 

@@ -20,7 +20,8 @@ module Metrics = Bfly_obs.Metrics
 module Butterfly = Bfly_networks.Butterfly
 open Tu
 
-(* every counter ci.sh's extract() greps and bench --compare diffs *)
+(* every counter ci.sh's warm stage reads and bench --compare diffs,
+   pinned literally: Bench_gate.counters must stay equal to it *)
 let gate_fields =
   [
     "exact.bb.nodes"; "cache.hit"; "cache.miss"; "ml.levels"; "ml.refine.moves";
@@ -76,9 +77,8 @@ let test_gate_counters_tick () =
   checkb "warm exact solve hits the cache" true (counter "cache.hit" > hit0)
 
 let test_metrics_json_carries_gate_fields () =
-  (* to_json_string renders the bench document's "metrics" field; the sed
-     pattern in ci.sh matches "NAME":INT, so the literal quoted names must
-     appear *)
+  (* to_json_string renders the bench document's "metrics" field, so the
+     literal quoted names must appear *)
   let doc = Metrics.to_json_string () in
   List.iter
     (fun name ->
@@ -173,6 +173,75 @@ let test_baseline_roundtrip () =
       | Ok doc2 ->
           Alcotest.(check string)
             "print/parse/print is a fixed point" printed (Json.to_string doc2))
+
+(* ---- the bench --compare gate (Bench_gate.schema) ---- *)
+
+let test_gate_counters_declared_once () =
+  Alcotest.(check (list string))
+    "Bench_gate.counters is the pinned list" gate_fields
+    Bfly_check.Bench_gate.counters
+
+(* PERFORMANCE.md documents the gate counters by name; each must appear
+   backtick-quoted so a rename fails here instead of silently drifting *)
+let test_perf_docs_name_gate_counters () =
+  let text = In_channel.with_open_text "../PERFORMANCE.md" In_channel.input_all in
+  List.iter
+    (fun c ->
+      checkb
+        (Printf.sprintf "PERFORMANCE.md documents `%s`" c)
+        true
+        (contains text ("`" ^ c ^ "`")))
+    Bfly_check.Bench_gate.counters
+
+let test_bench_gate_injected_drift () =
+  let doc = load_baseline () in
+  let schema = Bfly_check.Bench_gate.schema in
+  Alcotest.(check (list string))
+    "baseline passes against itself" [] (gate schema ~baseline:doc doc);
+  (* one line of the first experiment's output *)
+  let edited =
+    tamper [ "experiments" ]
+      (function
+        | Json.List (e :: rest) ->
+            let mark_line_2 = function
+              | Json.Str out -> (
+                  match String.split_on_char '\n' out with
+                  | l1 :: l2 :: ls ->
+                      Some (Json.Str (String.concat "\n" (l1 :: (l2 ^ "!") :: ls)))
+                  | _ -> Alcotest.fail "first experiment output is one line")
+              | _ -> Alcotest.fail "experiment output is not a string"
+            in
+            Some (Json.List (tamper [ "output" ] mark_line_2 e :: rest))
+        | v -> Some v)
+      doc
+  in
+  (match gate schema ~baseline:doc edited with
+  | [ d ] ->
+      checkb ("first divergent line reported: " ^ d) true
+        (contains d "experiments[name=F1]/output: line 2: ")
+  | ds -> Alcotest.failf "expected one drift, got [%s]" (String.concat "; " ds));
+  let bump = function Json.Int v -> Some (Json.Int (v + 1)) | v -> Some v in
+  Alcotest.(check (list string))
+    "one gate counter" [ "gate/cache.hit: baseline 75, current 76" ]
+    (gate schema ~baseline:doc (tamper [ "gate"; "cache.hit" ] bump doc));
+  check "the check summary" 1
+    (List.length (gate schema ~baseline:doc (tamper [ "check"; "seed" ] bump doc)));
+  check "a failing oracle battery" 2
+    (List.length
+       (gate schema ~baseline:doc
+          (tamper [ "check"; "ok" ] (fun _ -> Some (Json.Bool false)) doc)));
+  checkb "mode refuses" true
+    (refused schema ~baseline:doc
+       (tamper [ "mode" ] (fun _ -> Some (Json.Str "smoke")) doc));
+  checkb "domains refuses" true
+    (refused schema ~baseline:doc (tamper [ "domains" ] bump doc));
+  check "timings, kernels and metrics are ignored" 0
+    (List.length
+       (gate schema ~baseline:doc
+          (doc
+          |> tamper [ "kernels" ] (fun _ -> Some (Json.List []))
+          |> tamper [ "metrics" ] (fun _ -> None)
+          |> tamper [ "experiments"; "*"; "wall_ns" ] bump)))
 
 (* ---- the committed loadgen baseline (bfly-loadgen/1) ---- *)
 
@@ -322,7 +391,7 @@ let test_loadgen_baseline_gates_regression () =
   let doc = load_loadgen_baseline () in
   Alcotest.(check (list string))
     "baseline passes against itself" []
-    (Bfly_serve.Loadgen.compare_docs ~baseline:doc doc);
+    (gate (Bfly_serve.Loadgen.gate ()) ~baseline:doc doc);
   let degrade f =
     match doc with
     | Json.Obj fields ->
@@ -340,7 +409,7 @@ let test_loadgen_baseline_gates_regression () =
       | kv -> kv)
   in
   checkb "p99 x10 fails the gate" true
-    (Bfly_serve.Loadgen.compare_docs ~slack:3.0 ~baseline:doc slow <> []);
+    (gate (Bfly_serve.Loadgen.gate ~slack:3.0 ()) ~baseline:doc slow <> []);
   let starved =
     degrade (function
       | "achieved_qps", Json.Float v -> ("achieved_qps", Json.Float (v /. 10.))
@@ -349,10 +418,39 @@ let test_loadgen_baseline_gates_regression () =
       | kv -> kv)
   in
   checkb "throughput /10 fails the gate" true
-    (Bfly_serve.Loadgen.compare_docs ~slack:3.0 ~baseline:doc starved <> []);
+    (gate (Bfly_serve.Loadgen.gate ~slack:3.0 ()) ~baseline:doc starved <> []);
   checkb "no-timing mode ignores both" true
-    (Bfly_serve.Loadgen.compare_docs ~timing:false ~baseline:doc slow = []
-    && Bfly_serve.Loadgen.compare_docs ~timing:false ~baseline:doc starved = [])
+    (gate (Bfly_serve.Loadgen.gate ~timing:false ()) ~baseline:doc slow = []
+    && gate (Bfly_serve.Loadgen.gate ~timing:false ()) ~baseline:doc starved = [])
+
+(* the loadgen gate's other field classes against the committed baseline:
+   a deleted timing section is drift (never a silent pass), a schema
+   change refuses, and fields outside the schema are free to move *)
+let test_loadgen_gate_field_classes () =
+  let doc = load_loadgen_baseline () in
+  let no_timing = tamper [ "timing" ] (fun _ -> None) doc in
+  check "timing deleted from the current document" 2
+    (List.length (gate (Bfly_serve.Loadgen.gate ()) ~baseline:doc no_timing));
+  check "timing deleted from the baseline" 2
+    (List.length (gate (Bfly_serve.Loadgen.gate ()) ~baseline:no_timing doc));
+  check "no-timing mode does not need the section" 0
+    (List.length
+       (gate (Bfly_serve.Loadgen.gate ~timing:false ()) ~baseline:doc no_timing));
+  check "a zero baseline p99 gates nothing" 0
+    (List.length
+       (gate (Bfly_serve.Loadgen.gate ())
+          ~baseline:(tamper [ "timing"; "p99_ns" ] (fun _ -> Some (Json.Int 0)) doc)
+          doc));
+  checkb "schema change refuses" true
+    (refused (Bfly_serve.Loadgen.gate ()) ~baseline:doc
+       (tamper [ "schema" ] (fun _ -> Some (Json.Str "bfly-loadgen/2")) doc));
+  check "mode, workers and server stats are ignored" 0
+    (List.length
+       (gate (Bfly_serve.Loadgen.gate ()) ~baseline:doc
+          (doc
+          |> tamper [ "mode" ] (fun _ -> Some (Json.Str "connect"))
+          |> tamper [ "workers" ] (fun _ -> Some (Json.Int 64))
+          |> tamper [ "server" ] (fun _ -> None))))
 
 let test_loadgen_baseline_roundtrip () =
   let text =
@@ -378,6 +476,11 @@ let suite =
     case "baseline: experiments carry name+output" test_baseline_experiments;
     case "baseline: embedded oracle summary" test_baseline_check_summary;
     case "baseline: JSON round-trips byte-stably" test_baseline_roundtrip;
+    case "bench gate: counters declared once" test_gate_counters_declared_once;
+    case "bench gate: PERFORMANCE.md names every counter"
+      test_perf_docs_name_gate_counters;
+    case "bench gate: injected drift fails or refuses"
+      test_bench_gate_injected_drift;
     case "loadgen baseline: schema and field names" test_loadgen_baseline_schema;
     case "loadgen baseline: reproducible from the committed trace"
       test_loadgen_baseline_matches_trace;
@@ -389,4 +492,6 @@ let suite =
       test_loadgen_baseline_gates_regression;
     case "loadgen baseline: JSON round-trips byte-stably"
       test_loadgen_baseline_roundtrip;
+    case "loadgen gate: missing timing, config and ignored fields"
+      test_loadgen_gate_field_classes;
   ]

@@ -277,7 +277,7 @@ let test_compare_docs_drift_directions () =
   let t = campaign_exn ~restarts:2 ~sizes:[ 16 ] ~seeds:2 () in
   let doc = Campaign.to_json t in
   Alcotest.(check (list string)) "self-compare is clean" []
-    (Campaign.compare_docs ~baseline:doc doc);
+    (gate Campaign.gate ~baseline:doc doc);
   (* drifted ml on one instance must be reported *)
   let tampered =
     Campaign.to_json
@@ -289,7 +289,7 @@ let test_compare_docs_drift_directions () =
       }
   in
   checkb "per-instance drift detected" true
-    (Campaign.compare_docs ~baseline:doc tampered <> []);
+    (gate Campaign.gate ~baseline:doc tampered <> []);
   (* an instance outside the baseline grid is drift, not silence *)
   let bigger =
     Campaign.to_json
@@ -299,9 +299,9 @@ let test_compare_docs_drift_directions () =
       }
   in
   checkb "unknown instance detected" true
-    (Campaign.compare_docs ~baseline:doc bigger <> []);
+    (gate Campaign.gate ~baseline:doc bigger <> []);
   checkb "schema mismatch detected" true
-    (Campaign.compare_docs ~baseline:(Json.Obj [ ("schema", Json.Str "x") ]) doc
+    (gate Campaign.gate ~baseline:(Json.Obj [ ("schema", Json.Str "x") ]) doc
     <> [])
 
 (* ---- serve wiring ---- *)
@@ -398,7 +398,7 @@ let test_baseline_contract () =
   | Some (Json.Bool true) -> ()
   | _ -> Alcotest.fail "committed oracle verdict is not ok:true");
   Alcotest.(check (list string)) "baseline self-compare is clean" []
-    (Campaign.compare_docs ~baseline:doc doc);
+    (gate Campaign.gate ~baseline:doc doc);
   (* recompute the largest-size mean ml ratio from the committed rows and
      re-judge it against the pinned window — the aggregate the oracle
      asserts is derivable from the instances it ships with *)
@@ -424,13 +424,57 @@ let test_baseline_contract () =
   checkb "round-trip fixed point" true
     (Json.to_string (Result.get_ok (Json.of_string printed)) = printed)
 
+(* a sub-grid document cut from the committed baseline itself — sizes
+   [64], seeds 1..3 — so the gate's field classes can be probed without
+   re-running a campaign *)
+let baseline_subgrid () =
+  let in_subgrid i =
+    Json.member "n" i = Some (Json.Int 64)
+    && Option.bind (Json.member "seed" i) Json.to_int_opt
+       |> Option.fold ~none:false ~some:(fun s -> s <= 3)
+  in
+  load_baseline ()
+  |> tamper [ "instances" ] (function
+       | Json.List l -> Some (Json.List (List.filter in_subgrid l))
+       | v -> Some v)
+  |> tamper [ "sizes" ] (fun _ -> Some (Json.List [ Json.Int 64 ]))
+  |> tamper [ "seeds" ] (fun _ -> Some (Json.Int 3))
+
+let test_gate_field_classes () =
+  let baseline = load_baseline () in
+  let sub = baseline_subgrid () in
+  Alcotest.(check (list string)) "sub-grid passes" [] (gate Campaign.gate ~baseline sub);
+  (* rows missing a column used to be filtered away, leaving zero
+     comparable rows and a vacuous pass *)
+  check "ml removed from every row: one drift per row" 3
+    (List.length
+       (gate Campaign.gate ~baseline
+          (tamper [ "instances"; "*"; "ml" ] (fun _ -> None) sub)));
+  checkb "an empty instance list is drift" true
+    (gate Campaign.gate ~baseline
+       (tamper [ "instances" ] (fun _ -> Some (Json.List [])) sub)
+    <> []);
+  checkb "a degree change refuses" true
+    (refused Campaign.gate ~baseline
+       (tamper [ "degree" ] (fun _ -> Some (Json.Int 4)) sub));
+  let shift_summary = tamper [ "summary" ] (fun _ -> Some (Json.List [])) in
+  checkb "same grid: summary drift is caught" true
+    (gate Campaign.gate ~baseline (shift_summary baseline) <> []);
+  checkb "same grid: oracle verdict drift is caught" true
+    (gate Campaign.gate ~baseline
+       (tamper [ "oracle"; "ok" ] (fun _ -> Some (Json.Bool false)) baseline)
+    <> []);
+  Alcotest.(check (list string))
+    "sub-grid: summaries are not compared" []
+    (gate Campaign.gate ~baseline (shift_summary sub))
+
 let test_subgrid_reproduces_baseline () =
   without_cache @@ fun () ->
   (* the ci.sh campaign stage's property, in-process: a fresh sub-grid
      run must reproduce the committed per-instance triples exactly *)
   let t = campaign_exn ~sizes:[ 64 ] ~seeds:2 () in
   Alcotest.(check (list string)) "no drift against the committed baseline" []
-    (Campaign.compare_docs ~baseline:(load_baseline ()) (Campaign.to_json t))
+    (gate Campaign.gate ~baseline:(load_baseline ()) (Campaign.to_json t))
 
 let suite =
   [
@@ -451,6 +495,8 @@ let suite =
     case "document: schema and byte-stable round-trip"
       test_document_schema_and_roundtrip;
     case "compare_docs: drift directions" test_compare_docs_drift_directions;
+    case "gate: field classes against a baseline sub-grid"
+      test_gate_field_classes;
     case "serve: campaign fingerprints" test_job_fingerprint;
     case "serve: protocol parses and caps campaign jobs"
       test_protocol_campaign;

@@ -2,7 +2,7 @@
    schedule is a pure function of (trace, seed, clients, repeat); repeated
    runs agree on every deterministic field of the bfly-loadgen/1 document;
    sequential and concurrent replays produce identical output bytes; and
-   compare_docs gates exactly what it should — deterministic drift always,
+   Loadgen.gate gates exactly what it should — deterministic drift always,
    timing drift only beyond the slack factor (and not at all under
    timing:false, the cross-machine mode). *)
 
@@ -64,10 +64,9 @@ let test_repeat_runs_identical () =
   Test_serve.with_fresh_cache @@ fun () ->
   let d1 = run ~mode:Loadgen.Sequential () in
   let d2 = run ~mode:Loadgen.Sequential () in
-  Alcotest.(check string)
-    "deterministic views identical"
-    (Json.to_string (Loadgen.deterministic_view d1))
-    (Json.to_string (Loadgen.deterministic_view d2));
+  Alcotest.(check (list string))
+    "deterministic fields identical" []
+    (gate (Loadgen.gate ~timing:false ()) ~baseline:d1 d2);
   (* and the error line is visible, deterministically *)
   check "errors counted" 4 (int_ d1 "errors");
   check "every request answered" (int_ d1 "requests") (int_ d1 "responses")
@@ -82,7 +81,7 @@ let test_modes_byte_identical () =
     (str conc "outputs_fingerprint");
   Alcotest.(check (list string))
     "no deterministic drift between modes" []
-    (Loadgen.compare_docs ~timing:false ~baseline:seq conc)
+    (gate (Loadgen.gate ~timing:false ()) ~baseline:seq conc)
 
 (* rebuild the document with one timing field scaled — the shape of an
    injected performance regression *)
@@ -118,27 +117,27 @@ let test_compare_gates_timing () =
   let doc = run ~mode:Loadgen.Sequential () in
   Alcotest.(check (list string))
     "identical doc passes with timing" []
-    (Loadgen.compare_docs ~baseline:doc doc);
+    (gate (Loadgen.gate ()) ~baseline:doc doc);
   let slow = with_timing doc "p99_ns" (scale_int 10) in
   checkb "p99 regression caught" true
-    (Loadgen.compare_docs ~slack:3.0 ~baseline:doc slow <> []);
+    (gate (Loadgen.gate ~slack:3.0 ()) ~baseline:doc slow <> []);
   let starved = with_timing doc "achieved_qps" (div_float 10.) in
   checkb "throughput regression caught" true
-    (Loadgen.compare_docs ~slack:3.0 ~baseline:doc starved <> []);
+    (gate (Loadgen.gate ~slack:3.0 ()) ~baseline:doc starved <> []);
   (* generous slack forgives, no-timing ignores *)
   Alcotest.(check (list string))
     "within slack passes" []
-    (Loadgen.compare_docs ~slack:100.0 ~baseline:doc slow);
+    (gate (Loadgen.gate ~slack:100.0 ()) ~baseline:doc slow);
   Alcotest.(check (list string))
     "no-timing ignores timing entirely" []
-    (Loadgen.compare_docs ~timing:false ~baseline:doc slow)
+    (gate (Loadgen.gate ~timing:false ()) ~baseline:doc slow)
 
 let test_compare_gates_determinism () =
   Test_serve.with_fresh_cache @@ fun () ->
   let doc = run () in
   let other_seed = run ~seed:4 () in
   checkb "seed drift always fails, even under no-timing" true
-    (Loadgen.compare_docs ~timing:false ~baseline:doc other_seed <> []);
+    (gate (Loadgen.gate ~timing:false ()) ~baseline:doc other_seed <> []);
   let forged =
     match doc with
     | Json.Obj fields ->
@@ -152,7 +151,7 @@ let test_compare_gates_determinism () =
     | other -> other
   in
   checkb "output drift always fails" true
-    (Loadgen.compare_docs ~timing:false ~baseline:forged doc <> [])
+    (gate (Loadgen.gate ~timing:false ()) ~baseline:forged doc <> [])
 
 let test_fingerprint_primitives () =
   Alcotest.(check string)

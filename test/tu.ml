@@ -51,3 +51,34 @@ let random_subset ~rng n k =
    differential-oracle layer now builds on; this alias keeps the test
    suites reading the same. *)
 let brute_bw g = fst (Bfly_check.Reference.bisection_width g)
+
+(* ---- document gates ---- *)
+
+(* Drift messages of a Bfly_obs.Doc gate; a refusal counts as one. *)
+let gate schema ~baseline doc =
+  match Bfly_obs.Doc.compare ~schema ~baseline doc with
+  | Bfly_obs.Doc.Drifts drifts -> drifts
+  | Bfly_obs.Doc.Refused m -> [ "refused: " ^ m ]
+
+let refused schema ~baseline doc =
+  match Bfly_obs.Doc.compare ~schema ~baseline doc with
+  | Bfly_obs.Doc.Refused _ -> true
+  | Bfly_obs.Doc.Drifts _ -> false
+
+(* [tamper path f doc] rewrites the field at [path] (object keys; "*"
+   maps over every element of a list) to [f value], deleting it when [f]
+   returns [None] — the shape of an injected drift. *)
+let rec tamper path f (doc : Bfly_obs.Json.t) =
+  match (path, doc) with
+  | [ k ], Bfly_obs.Json.Obj fields ->
+      Bfly_obs.Json.Obj
+        (List.filter_map
+           (fun (k', v) ->
+             if k' = k then Option.map (fun v -> (k', v)) (f v) else Some (k', v))
+           fields)
+  | k :: rest, Bfly_obs.Json.Obj fields ->
+      Bfly_obs.Json.Obj
+        (List.map (fun (k', v) -> (k', if k' = k then tamper rest f v else v)) fields)
+  | "*" :: rest, Bfly_obs.Json.List l ->
+      Bfly_obs.Json.List (List.map (tamper rest f) l)
+  | _ -> doc
