@@ -34,15 +34,7 @@
    skipped), diffs experiment outputs, gate counters and the check summary
    against the committed baseline document, and exits non-zero on any
    drift. Incompatible with --chaos / --deadline, which perturb the very
-   quantities being compared.
-
-   [--serve TRACE.ndjson] replays a newline-delimited request trace
-   through an in-process Bfly_serve server (same engine as `bfly_tool
-   serve`), printing one response line per request and a coalescing /
-   latency summary on stderr. [--serve-workers N] runs the replay's
-   batches concurrently on the domain pool (N > 0; responses are still
-   printed in request order, and must be byte-identical to the
-   sequential replay's). *)
+   quantities being compared. *)
 
 open Bechamel
 open Toolkit
@@ -58,25 +50,15 @@ module Span = Bfly_obs.Span
 
 let usage =
   "usage: main.exe [--json FILE] [--values FILE] [--smoke] [--deadline D] \
-   [--chaos] [--compare BASELINE.json] [--serve TRACE.ndjson] \
-   [--serve-workers N]"
+   [--chaos] [--compare BASELINE.json]"
 
-let ( json_file,
-      values_file,
-      smoke,
-      deadline,
-      chaos,
-      compare_file,
-      serve_file,
-      serve_workers ) =
+let json_file, values_file, smoke, deadline, chaos, compare_file =
   let json_file = ref None
   and values_file = ref None
   and smoke = ref false
   and deadline = ref None
   and chaos = ref false
-  and compare_file = ref None
-  and serve_file = ref None
-  and serve_workers = ref 0 in
+  and compare_file = ref None in
   let rec parse = function
     | [] -> ()
     | "--json" :: file :: rest ->
@@ -88,17 +70,6 @@ let ( json_file,
     | "--compare" :: file :: rest ->
         compare_file := Some file;
         parse rest
-    | "--serve" :: file :: rest ->
-        serve_file := Some file;
-        parse rest
-    | "--serve-workers" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some w when w >= 1 ->
-            serve_workers := w;
-            parse rest
-        | _ ->
-            Printf.eprintf "bad --serve-workers: %s\n%s\n" n usage;
-            exit 2)
     | "--deadline" :: d :: rest -> (
         match Bfly_resil.Budget.of_string d with
         | Ok b ->
@@ -107,8 +78,7 @@ let ( json_file,
         | Error e ->
             Printf.eprintf "bad --deadline: %s\n%s\n" e usage;
             exit 2)
-    | [ "--json" ] | [ "--values" ] | [ "--deadline" ] | [ "--compare" ]
-    | [ "--serve" ] | [ "--serve-workers" ] ->
+    | [ "--json" ] | [ "--values" ] | [ "--deadline" ] | [ "--compare" ] ->
         prerr_endline usage;
         exit 2
     | "--smoke" :: rest ->
@@ -128,14 +98,7 @@ let ( json_file,
        compared quantities and are not allowed with it";
     exit 2
   end;
-  ( !json_file,
-    !values_file,
-    !smoke,
-    !deadline,
-    !chaos,
-    !compare_file,
-    !serve_file,
-    !serve_workers )
+  (!json_file, !values_file, !smoke, !deadline, !chaos, !compare_file)
 
 (* experiments cheap enough to gate every CI run on *)
 let smoke_experiments = [ "E2"; "E4"; "E10"; "E14"; "F1"; "D1" ]
@@ -466,71 +429,10 @@ let compare_run baseline_file =
       List.iter (fun d -> Printf.printf "  - %s\n" d) drifts;
       1
 
-(* ---- --serve: in-process trace replay ---- *)
-
-let serve_replay trace_file workers =
-  let lines =
-    match In_channel.with_open_text trace_file In_channel.input_lines with
-    | exception Sys_error e ->
-        Printf.eprintf "cannot read trace: %s\n" e;
-        exit 2
-    | lines -> List.filter (fun l -> String.trim l <> "") lines
-  in
-  let n = List.length lines in
-  let server = Bfly_serve.Server.create () in
-  let t0 = Span.now_ns () in
-  let replies, batches =
-    if workers <= 0 then begin
-      (* sequential: answer each response as it completes *)
-      let replies = ref 0 in
-      let reply line =
-        incr replies;
-        print_endline line
-      in
-      List.iter (Bfly_serve.Server.submit server ~reply) lines;
-      (!replies, Bfly_serve.Server.run_pending server)
-    end
-    else begin
-      (* concurrent: batches run on the domain pool, responses are
-         buffered per submit index and printed in request order — output
-         must stay byte-identical to the sequential replay *)
-      let responses = Array.make n None in
-      let dispatch = Bfly_serve.Dispatch.create ~cap:workers server in
-      List.iteri
-        (fun i line ->
-          Bfly_serve.Server.submit server
-            ~reply:(fun r -> responses.(i) <- Some r)
-            line;
-          Bfly_serve.Dispatch.pump dispatch)
-        lines;
-      Bfly_serve.Dispatch.pump dispatch;
-      Bfly_serve.Dispatch.wait_idle dispatch;
-      let replies = ref 0 in
-      Array.iter
-        (function
-          | Some r ->
-              incr replies;
-              print_endline r
-          | None -> ())
-        responses;
-      (!replies, 0)
-    end
-  in
-  let wall_ms = float_of_int (Span.now_ns () - t0) /. 1e6 in
-  Printf.eprintf "replayed %d requests in %.1fms (%d batches): %s\n" n wall_ms
-    batches
-    (Bfly_serve.Server.summary server);
-  if replies <> n then begin
-    Printf.eprintf "BUG: %d requests but %d responses\n" n replies;
-    exit 1
-  end;
-  0
-
 let () =
-  match (serve_file, compare_file) with
-  | Some trace, _ -> exit (serve_replay trace serve_workers)
-  | None, Some baseline -> exit (compare_run baseline)
-  | None, None ->
+  match compare_file with
+  | Some baseline -> exit (compare_run baseline)
+  | None ->
       (* [--deadline] supervises the reproduction stage through the ambient
          cancel token (cooperating solvers degrade when it fires); [--chaos]
          additionally arms fault injection around it. The Bechamel stage and

@@ -37,24 +37,34 @@ let net_arg =
 
 let n_arg = Arg.(required & pos 1 (some int) None & info [] ~docv:"N")
 
-(* ---- --graph (product-network fabrics) ---- *)
+(* ---- solver jobs: flags as job fields ---- *)
 
-(* The bw subcommands accept either the classic positional pair
-   (NETWORK N) or [--graph SPEC] naming a data-center fabric whose spec
-   already fixes the size; [n] is pinned to 0 for fabrics so their job
-   fingerprints are canonical. A fabric spec is also accepted positionally
-   (with N omitted). *)
+(* The solver subcommands (bw, expansion, mos) hand their flag values to
+   Job.parse under the wire protocol's field names, so the one-shot CLI and
+   `bfly_tool serve` share one decoder: defaults, the fabric [n] rule and
+   error texts. An absent flag is an absent field. *)
 
-let fabric_conv =
-  let parse s =
-    match Bfly_networks.Fabric.spec_of_string s with
-    | Ok spec -> Ok (Job.Fabric spec)
-    | Error m -> Error (`Msg m)
-  in
-  let print ppf net = Format.pp_print_string ppf (Job.net_name net) in
-  Arg.conv (parse, print)
+let field_str = Option.map (fun s -> Bfly_obs.Json.Str s)
+let field_int = Option.map (fun i -> Bfly_obs.Json.Int i)
+let field_bool b = Some (Bfly_obs.Json.Bool b)
 
+let net_opt_arg =
+  Arg.(value & pos 0 (some string) None & info [] ~docv:"NETWORK")
+
+let n_opt_arg = Arg.(value & pos 1 (some int) None & info [] ~docv:"N")
+
+(* The bw subcommands accept either the positional pair (NETWORK N) or
+   [--graph SPEC] naming a data-center fabric, whose spec already fixes
+   the size. A fabric spec is also accepted positionally, N omitted. *)
 let graph_arg =
+  let fabric_conv =
+    let parse s =
+      match Bfly_networks.Fabric.spec_of_string s with
+      | Ok _ -> Ok s
+      | Error m -> Error (`Msg m)
+    in
+    Arg.conv (parse, Format.pp_print_string)
+  in
   Arg.(
     value
     & opt (some fabric_conv) None
@@ -64,23 +74,6 @@ let graph_arg =
            $(b,mesh:2x4x8), $(b,torus:4x4x4) (alias $(b,torus3d:)), \
            $(b,bcube:PORTSxLEVELS), or $(b,product:path2xring3xk4). \
            Replaces the positional NETWORK and N arguments.")
-
-let net_opt_arg =
-  Arg.(value & pos 0 (some network_conv) None & info [] ~docv:"NETWORK")
-
-let n_opt_arg = Arg.(value & pos 1 (some int) None & info [] ~docv:"N")
-
-let resolve_instance graph net n =
-  match (graph, net, n) with
-  | Some fabric, None, None -> Ok (fabric, 0)
-  | Some _, Some _, _ | Some _, _, Some _ ->
-      Error "--graph replaces the positional NETWORK and N arguments"
-  | None, Some (Job.Fabric _ as fabric), None -> Ok (fabric, 0)
-  | None, Some (Job.Fabric _), Some _ ->
-      Error "omit N for fabric specs (the spec fixes the size)"
-  | None, Some net, Some n -> Ok (net, n)
-  | None, Some _, None -> Error "missing N (required for butterfly families)"
-  | None, None, _ -> Error "specify NETWORK N or --graph SPEC"
 
 let handle = function
   | Ok () -> 0
@@ -190,6 +183,14 @@ let run_job ?deadline spec =
       Ok ()
   | Error e -> Error e
 
+let run_fields ?deadline ~job fields =
+  let fields =
+    List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) v) fields
+  in
+  Result.bind
+    (Job.parse ~job (fun k -> List.assoc_opt k fields))
+    (run_job ?deadline)
+
 (* ---- info ---- *)
 
 let info_run metrics net n =
@@ -264,21 +265,22 @@ let expansion_run metrics no_cache deadline net n k exact only seed =
   set_cache no_cache;
   finishing metrics @@
   handle
-    (match
-       match only with
-       | None -> Ok `Both
-       | Some "ee" -> Ok `Ee
-       | Some "ne" -> Ok `Ne
-       | Some other ->
-           Error (Printf.sprintf "--only must be ee or ne, not %s" other)
-     with
-    | Error e -> Error e
-    | Ok kind ->
-        run_job ?deadline
-          (Job.Expansion { kind; net; n; k; exact; seed }))
+    (match only with
+    | Some other when other <> "ee" && other <> "ne" ->
+        Error (Printf.sprintf "--only must be ee or ne, not %s" other)
+    | _ ->
+        run_fields ?deadline
+          ~job:(Option.value only ~default:"expansion")
+          [
+            ("network", field_str net);
+            ("n", field_int n);
+            ("k", field_int k);
+            ("exact", field_bool exact);
+            ("seed", field_int seed);
+          ])
 
 let expansion_cmd =
-  let k = Arg.(required & opt (some int) None & info [ "k" ] ~docv:"K") in
+  let k = Arg.(value & opt (some int) None & info [ "k" ] ~docv:"K") in
   let exact =
     Arg.(value & flag & info [ "exact" ] ~doc:"Exact enumeration (small instances only).")
   in
@@ -291,15 +293,18 @@ let expansion_cmd =
   in
   let seed =
     Arg.(
-      value & opt int 1
+      value
+      & opt (some int) None
       & info [ "seed" ] ~docv:"SEED"
           ~doc:"RNG seed for the annealer (ignored with $(b,--exact)).")
   in
   Cmd.v
-    (Cmd.info "expansion" ~doc:"Edge/node expansion (Section 4)")
+    (Cmd.info "expansion"
+       ~doc:
+         "Edge/node expansion (Section 4); a fabric NETWORK takes no N")
     Term.(
       const expansion_run $ metrics_arg $ no_cache_arg $ deadline_arg
-      $ net_arg $ n_arg $ k $ exact $ only $ seed)
+      $ net_opt_arg $ n_opt_arg $ k $ exact $ only $ seed)
 
 (* ---- render ---- *)
 
@@ -357,10 +362,11 @@ let route_cmd =
 
 let mos_run metrics no_cache deadline j =
   set_cache no_cache;
-  finishing metrics @@ handle (run_job ?deadline (Job.Mos { j }))
+  finishing metrics @@
+  handle (run_fields ?deadline ~job:"mos" [ ("j", field_int j) ])
 
 let mos_cmd =
-  let j = Arg.(required & pos 0 (some int) None & info [] ~docv:"J") in
+  let j = Arg.(value & pos 0 (some int) None & info [] ~docv:"J") in
   Cmd.v
     (Cmd.info "mos" ~doc:"Mesh-of-stars M2-bisection width (Lemmas 2.17-2.19)")
     Term.(const mos_run $ metrics_arg $ no_cache_arg $ deadline_arg $ j)
@@ -419,24 +425,24 @@ let layout_cmd =
 
 (* ---- bw ---- *)
 
-let bw_exact_run metrics no_cache graph net n deadline max_nodes resume =
+let bw_run solver metrics no_cache graph net n deadline fields =
   set_cache no_cache;
   finishing metrics @@
   handle
-    (match resolve_instance graph net n with
-    | Error e -> Error e
-    | Ok (net, n) ->
-        run_job ?deadline
-          (Job.Bw
-             {
-               Job.solver = Job.Exact;
-               net;
-               n;
-               seed = 1;
-               restarts = 1;
-               max_nodes;
-               resume;
-             }))
+    (if graph <> None && (net <> None || n <> None) then
+       Error "--graph replaces the positional NETWORK and N arguments"
+     else
+       run_fields ?deadline ~job:"bw"
+         (("solver", field_str (Some solver))
+         :: ("network", field_str (if graph = None then net else graph))
+         :: ("n", field_int n) :: fields))
+
+let bw_solver_cmd ~name ~doc fields =
+  let run = bw_run name in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const run $ metrics_arg $ no_cache_arg $ graph_arg
+      $ net_opt_arg $ n_opt_arg $ deadline_arg $ fields)
 
 let bw_exact_cmd =
   let max_nodes =
@@ -457,85 +463,59 @@ let bw_exact_cmd =
              in the result cache, exploring only the remaining frontier. \
              The completed value is identical to an uninterrupted run's.")
   in
-  Cmd.v
-    (Cmd.info "exact"
-       ~doc:
-         "Exact bisection width under a budget: runs the supervised \
-          branch-and-bound engine, which returns the exact value — or, if \
-          the deadline or node budget fires first, a certified interval \
-          [lower, upper] with a real witness cut achieving upper, plus a \
-          checkpoint that $(b,--resume) continues from. Every result is \
-          re-validated before being printed.")
-    Term.(
-      const bw_exact_run $ metrics_arg $ no_cache_arg $ graph_arg
-      $ net_opt_arg $ n_opt_arg $ deadline_arg $ max_nodes $ resume)
-
-let seed_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "seed" ] ~docv:"SEED"
-        ~doc:"RNG seed for the heuristic's restarts (deterministic per seed).")
-
-let restarts_arg =
-  Arg.(
-    value & opt int 4
-    & info [ "restarts" ] ~docv:"R"
-        ~doc:"Independent seeded restarts; the best cut found wins.")
-
-let bw_heuristic_run solver metrics no_cache graph net n deadline seed restarts
-    =
-  set_cache no_cache;
-  finishing metrics @@
-  handle
-    (match resolve_instance graph net n with
-    | Error e -> Error e
-    | Ok (net, n) ->
-        run_job ?deadline
-          (Job.Bw
-             {
-               Job.solver;
-               net;
-               n;
-               seed;
-               restarts;
-               max_nodes = None;
-               resume = false;
-             }))
-
-let bw_heuristic_cmd solver ~name ~doc =
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const (bw_heuristic_run solver)
-      $ metrics_arg $ no_cache_arg $ graph_arg $ net_opt_arg $ n_opt_arg
-      $ deadline_arg $ seed_arg $ restarts_arg)
-
-let bw_kl_cmd =
-  bw_heuristic_cmd Job.Kl ~name:"kl"
-    ~doc:"Kernighan-Lin heuristic upper bound on the bisection width"
-
-let bw_fm_cmd =
-  bw_heuristic_cmd Job.Fm ~name:"fm"
-    ~doc:"Fiduccia-Mattheyses heuristic upper bound on the bisection width"
-
-let bw_sa_cmd =
-  bw_heuristic_cmd Job.Sa ~name:"sa"
-    ~doc:"Simulated-annealing heuristic upper bound on the bisection width"
-
-let bw_spectral_cmd =
-  bw_heuristic_cmd Job.Spectral ~name:"spectral"
+  bw_solver_cmd ~name:"exact"
     ~doc:
-      "Spectral (Fiedler-vector) heuristic upper bound on the bisection \
-       width; deterministic, so --seed/--restarts are accepted but inert"
+      "Exact bisection width under a budget: runs the supervised \
+       branch-and-bound engine, which returns the exact value — or, if the \
+       deadline or node budget fires first, a certified interval [lower, \
+       upper] with a real witness cut achieving upper, plus a checkpoint \
+       that $(b,--resume) continues from. Every result is re-validated \
+       before being printed."
+    Term.(
+      const (fun max_nodes resume ->
+          [ ("max_nodes", field_int max_nodes); ("resume", field_bool resume) ])
+      $ max_nodes $ resume)
 
-let bw_ml_cmd =
-  bw_heuristic_cmd Job.Ml ~name:"ml"
-    ~doc:
-      "Multilevel heuristic upper bound on the bisection width: heavy-edge \
-       matching coarsens the graph to a few dozen nodes, gain-bucket FM \
-       refines each level under a balance constraint, and seeded restarts \
-       run the V-cycle concurrently. Near-linear per restart, so it scales \
-       to instances (n = 4096 and beyond) where the flat heuristics stop \
-       converging."
+(* --seed/--restarts of the seeded heuristics (absent: the job defaults) *)
+let seeded_fields =
+  let seed =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "seed" ] ~docv:"SEED"
+          ~doc:"RNG seed for the heuristic's restarts (deterministic per seed).")
+  in
+  let restarts =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "restarts" ] ~docv:"R"
+          ~doc:"Independent seeded restarts; the best cut found wins.")
+  in
+  Term.(
+    const (fun seed restarts ->
+        [ ("seed", field_int seed); ("restarts", field_int restarts) ])
+    $ seed $ restarts)
+
+let bw_heuristic_cmds =
+  List.map
+    (fun (name, doc) -> bw_solver_cmd ~name ~doc seeded_fields)
+    [
+      ("kl", "Kernighan-Lin heuristic upper bound on the bisection width");
+      ( "fm",
+        "Fiduccia-Mattheyses heuristic upper bound on the bisection width" );
+      ("sa", "Simulated-annealing heuristic upper bound on the bisection width");
+      ( "spectral",
+        "Spectral (Fiedler-vector) heuristic upper bound on the bisection \
+         width; deterministic, so --seed/--restarts are accepted but inert" );
+      ( "ml",
+        "Multilevel heuristic upper bound on the bisection width: heavy-edge \
+         matching coarsens the graph to a few dozen nodes, gain-bucket FM \
+         refines each level under a balance constraint, and seeded restarts \
+         run the V-cycle concurrently. Near-linear per restart, so it scales \
+         to instances (n = 4096 and beyond) where the flat heuristics stop \
+         converging." );
+    ]
 
 let bw_cmd =
   Cmd.group
@@ -543,7 +523,7 @@ let bw_cmd =
        ~doc:
          "Bisection-width solvers with supervision (deadlines, budgets, \
           checkpoint/resume)")
-    [ bw_exact_cmd; bw_kl_cmd; bw_fm_cmd; bw_sa_cmd; bw_spectral_cmd; bw_ml_cmd ]
+    (bw_exact_cmd :: bw_heuristic_cmds)
 
 (* ---- check ---- *)
 

@@ -156,15 +156,34 @@ stage_serve() {
     exit 1
   }
 
-  # byte-identity: the served output field must contain exactly the
-  # one-shot subcommand's stdout (JSON-escaped, trailing newline included)
-  oneshot=$(BFLY_CACHE_DIR="$scratch/serve-cache" dune exec -- \
-    bin/bfly_tool.exe bw spectral butterfly 16)
-  grep -F "\"output\":\"$oneshot\\n\"" "$out" > /dev/null || {
-    echo "FAIL: served output differs from one-shot '$oneshot'" >&2
-    cat "$out" >&2
-    exit 1
-  }
+  # byte-identity through the CLI's flag-to-field path: each cold one-shot
+  # subcommand's stdout must equal the output field of the matching single
+  # served request (doc get prints it with one extra newline). The bw exact
+  # request leaves solver to its default.
+  while IFS='|' read -r args request; do
+    echo "$request" > "$trace"
+    BFLY_CACHE_DIR="$scratch/serve-cache" dune exec -- bin/bfly_tool.exe serve \
+      < "$trace" > "$out" 2> /dev/null
+    doc_get "$out" output < /dev/null > "$scratch/served.txt" || {
+      echo "FAIL: $request was not served:" >&2
+      cat "$out" >&2
+      exit 1
+    }
+    # shellcheck disable=SC2086 # $args is the subcommand's word list
+    dune exec -- bin/bfly_tool.exe $args --no-cache < /dev/null \
+      > "$scratch/oneshot.txt"
+    echo >> "$scratch/oneshot.txt"
+    cmp -s "$scratch/served.txt" "$scratch/oneshot.txt" || {
+      echo "FAIL: served output of $request differs from 'bfly_tool $args'" >&2
+      diff "$scratch/served.txt" "$scratch/oneshot.txt" >&2 || true
+      exit 1
+    }
+  done <<'PAIRS'
+bw ml butterfly 64|{"job":"bw","solver":"ml","network":"butterfly","n":64}
+bw exact butterfly 8|{"job":"bw","network":"butterfly","n":8}
+expansion mesh:2x4 -k 2 --exact|{"job":"expansion","network":"mesh:2x4","k":2,"exact":true}
+mos 8|{"job":"mos","j":8}
+PAIRS
 
   # admission control: 10 distinct jobs against a queue bound of 2 — the
   # transport reads the whole burst before solving, so exactly 8 must be

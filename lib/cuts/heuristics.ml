@@ -6,76 +6,6 @@ module Span = Bfly_obs.Span
 module State = Cut.State
 module Cancel = Bfly_resil.Cancel
 
-let default_rng () = Random.State.make [| 0x5eed |]
-
-(* Restart seeds are drawn sequentially from the caller's rng so the work
-   list is fixed before any domain runs: results depend on the seed, never
-   on the domain count or completion order. *)
-let derive_seeds rng k =
-  let seeds = Array.make k 0 in
-  for i = 0 to k - 1 do
-    seeds.(i) <- Random.State.bits rng
-  done;
-  seeds
-
-(* Lowest capacity wins; equal capacities keep the earliest restart, like a
-   sequential first-wins loop. *)
-let by_capacity (c1, _) (c2, _) = Stdlib.compare c1 c2
-
-let record_kernel ~kernel ~restarts ~capacity =
-  Metrics.add (Metrics.counter ("heuristics." ^ kernel ^ ".restarts")) restarts;
-  Metrics.set
-    (Metrics.gauge ("heuristics." ^ kernel ^ ".best_capacity"))
-    (float_of_int capacity)
-
-(* ---- result cache ----
-   Heuristic results are deterministic in (graph, params, restart seeds):
-   the seeds are drawn from the caller's rng *before* the cache is
-   consulted — exactly as they are drawn before dispatch — so a hit leaves
-   the rng stream in the same state as a computed run and returns the same
-   cut that run would have produced. The seeds are part of the key, never
-   guessed. Entries are re-verified on hit: balanced side, recounted
-   capacity. *)
-
-module Cache = Bfly_cache.Store
-module Key = Bfly_cache.Key
-module Codec = Bfly_cache.Codec
-module Fp = Bfly_cache.Fingerprint
-
-let cut_encode (c, side) =
-  [ ("value", Codec.Int c); ("witness", Codec.bits side) ]
-
-let cut_decode n payload =
-  match
-    (Codec.get_int payload "value", Codec.get_bits payload "witness" ~capacity:n)
-  with
-  | Some c, Some side -> Some (c, side)
-  | _ -> None
-
-let cut_verify g (c, side) =
-  let n = G.n_nodes g in
-  let card = Bitset.cardinal side in
-  card >= n / 2
-  && card <= (n + 1) / 2
-  && Bfly_graph.Traverse.boundary_edges g side = c
-
-let cached_kernel ~kernel ~salt ~params ~seeds ~cancel g compute =
-  let key =
-    Key.make ~solver:("cuts.heuristics." ^ kernel) ~salt ~params
-      ~fingerprint:(Fp.int_array (Fp.graph Fp.seed g) seeds)
-  in
-  match
-    Cache.lookup ~key ~decode:(cut_decode (G.n_nodes g)) ~verify:(cut_verify g)
-  with
-  | Some v -> v
-  | None ->
-      let v = compute () in
-      (* a result degraded by cancellation is still a valid cut, but it must
-         not poison the cache: a later uninterrupted run would be served the
-         degraded value as if it were the converged one *)
-      if not (Cancel.stop cancel) then Cache.put ~key ~encode:cut_encode v;
-      v
-
 let random_balanced_side ~rng n =
   let perm = Bfly_graph.Perm.random ~rng n in
   let side = Bitset.create n in
@@ -200,27 +130,18 @@ let kl_pass g st =
   !best_cap < start_cap
 
 let kernighan_lin ?rng ?(restarts = 4) ?cancel g =
-  let rng = match rng with Some r -> r | None -> default_rng () in
   let cancel = Cancel.resolve cancel in
-  Span.time ~name:"heuristics.kl" @@ fun () ->
-  let n = G.n_nodes g in
-  let seeds = derive_seeds rng restarts in
-  cached_kernel ~kernel:"kl" ~salt:"kl/1"
+  Restarts.run ~kernel:"kl" ~salt:"kl/1"
     ~params:[ ("restarts", string_of_int restarts) ]
-    ~seeds ~cancel g
-  @@ fun () ->
-  let restart i =
-    let rng = Random.State.make [| 0x6b6c; seeds.(i) |] in
-    let st = State.create g (random_balanced_side ~rng n) in
-    let improving = ref true in
-    while !improving && not (Cancel.stop cancel) do
-      improving := kl_pass g st
-    done;
-    (State.capacity st, State.side st)
-  in
-  let c, side = Parallel.best_of ~compare:by_capacity ~restarts restart in
-  record_kernel ~kernel:"kl" ~restarts ~capacity:c;
-  (c, side)
+    ?rng ~restarts ~cancel g
+  @@ fun seed ->
+  let rng = Random.State.make [| 0x6b6c; seed |] in
+  let st = State.create g (random_balanced_side ~rng (G.n_nodes g)) in
+  let improving = ref true in
+  while !improving && not (Cancel.stop cancel) do
+    improving := kl_pass g st
+  done;
+  (State.capacity st, State.side st)
 
 (* ------------------------------------------------------------------ *)
 (* Fiduccia–Mattheyses (heap-based single-node moves, tolerance 1)     *)
@@ -346,24 +267,15 @@ let fm_descend ?cancel g st =
   done
 
 let fiduccia_mattheyses ?rng ?(restarts = 4) ?cancel g =
-  let rng = match rng with Some r -> r | None -> default_rng () in
   let cancel = Cancel.resolve cancel in
-  Span.time ~name:"heuristics.fm" @@ fun () ->
-  let n = G.n_nodes g in
-  let seeds = derive_seeds rng restarts in
-  cached_kernel ~kernel:"fm" ~salt:"fm/1"
+  Restarts.run ~kernel:"fm" ~salt:"fm/1"
     ~params:[ ("restarts", string_of_int restarts) ]
-    ~seeds ~cancel g
-  @@ fun () ->
-  let restart i =
-    let rng = Random.State.make [| 0x666d; seeds.(i) |] in
-    let st = State.create g (random_balanced_side ~rng n) in
-    fm_descend ?cancel g st;
-    (State.capacity st, State.side st)
-  in
-  let c, side = Parallel.best_of ~compare:by_capacity ~restarts restart in
-  record_kernel ~kernel:"fm" ~restarts ~capacity:c;
-  (c, side)
+    ?rng ~restarts ~cancel g
+  @@ fun seed ->
+  let rng = Random.State.make [| 0x666d; seed |] in
+  let st = State.create g (random_balanced_side ~rng (G.n_nodes g)) in
+  fm_descend ?cancel g st;
+  (State.capacity st, State.side st)
 
 (* ------------------------------------------------------------------ *)
 (* Spectral                                                            *)
@@ -373,8 +285,8 @@ let spectral g =
   (* fully deterministic (fixed start vector, fixed iteration count):
      keyed on the graph alone. Deliberately not cancellable — it is cheap
      and its determinism anchors the portfolio even under tight budgets. *)
-  cached_kernel ~kernel:"spectral" ~salt:"spectral/1" ~params:[] ~seeds:[||]
-    ~cancel:None g
+  Restarts.cached ~kernel:"spectral" ~salt:"spectral/1" ~params:[]
+    ~seeds:[||] ~cancel:None g
   @@ fun () ->
   let n = G.n_nodes g in
   let c = float_of_int (G.max_degree g + 1) in
@@ -534,26 +446,19 @@ let anneal_once ?cancel ~rng ~steps g =
   (!best_cap, !best_side)
 
 let annealing ?rng ?steps ?(restarts = 1) ?cancel g =
-  let rng = match rng with Some r -> r | None -> default_rng () in
   let cancel = Cancel.resolve cancel in
-  Span.time ~name:"heuristics.sa" @@ fun () ->
-  let n = G.n_nodes g in
-  let steps = match steps with Some s -> s | None -> min 2_000_000 (400 * n) in
-  let seeds = derive_seeds rng restarts in
-  cached_kernel ~kernel:"sa" ~salt:"sa/1"
+  let steps =
+    match steps with Some s -> s | None -> min 2_000_000 (400 * G.n_nodes g)
+  in
+  Restarts.run ~kernel:"sa" ~salt:"sa/1"
     ~params:
       [ ("restarts", string_of_int restarts); ("steps", string_of_int steps) ]
-    ~seeds ~cancel g
-  @@ fun () ->
-  let restart i =
-    anneal_once ?cancel ~rng:(Random.State.make [| 0x5a5a; seeds.(i) |]) ~steps g
-  in
-  let c, side = Parallel.best_of ~compare:by_capacity ~restarts restart in
-  record_kernel ~kernel:"sa" ~restarts ~capacity:c;
-  (c, side)
+    ?rng ~restarts ~cancel g
+  @@ fun seed ->
+  anneal_once ?cancel ~rng:(Random.State.make [| 0x5a5a; seed |]) ~steps g
 
 let best_of ?rng ?cancel g =
-  let rng = match rng with Some r -> r | None -> default_rng () in
+  let rng = match rng with Some r -> r | None -> Restarts.default_rng () in
   (* resolve the ambient token once, here, so every member sees the same
      token even when run on pool domains (the ambient slot is global, but
      resolving eagerly keeps the portfolio's behavior independent of when
@@ -565,7 +470,7 @@ let best_of ?rng ?cancel g =
      its members concurrently (each member also parallelizes its restarts
      internally — the pool handles nested batches) without the shared-rng
      sequencing the sequential loop used to impose *)
-  let seeds = derive_seeds rng 4 in
+  let seeds = Restarts.derive_seeds rng 4 in
   let seeded i = Random.State.make [| 0xbe57; seeds.(i) |] in
   let candidates =
     if n <= 2000 then

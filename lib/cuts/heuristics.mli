@@ -16,12 +16,10 @@
 
     Because results are deterministic in (graph, parameters, derived
     seeds), every kernel persists its result in the {!Bfly_cache} store
-    keyed on exactly those. The seeds are drawn from [rng] {e before} the
-    cache is consulted — the same draws a computed run makes — so a hit
-    returns the identical cut {e and} leaves the caller's rng stream in
-    the identical state. Cached cuts are re-verified (balance, recounted
-    capacity) before being served; the [heuristics.<kernel>.*] counters
-    only advance on actual compute.
+    keyed on exactly those, through {!Restarts}: a hit returns the
+    identical cut {e and} leaves the caller's rng stream in the identical
+    state, and the [heuristics.<kernel>.*] counters only advance on actual
+    compute.
 
     {1 Graceful degradation}
 

@@ -1,15 +1,10 @@
 module G = Bfly_graph.Graph
 module Bitset = Bfly_graph.Bitset
-module Parallel = Bfly_graph.Parallel
 module Perm = Bfly_graph.Perm
 module Metrics = Bfly_obs.Metrics
 module Span = Bfly_obs.Span
 module State = Cut.State
 module Cancel = Bfly_resil.Cancel
-module Cache = Bfly_cache.Store
-module Key = Bfly_cache.Key
-module Codec = Bfly_cache.Codec
-module Fp = Bfly_cache.Fingerprint
 
 type config = { matching_ratio : float; coarsening_threshold : int }
 
@@ -432,64 +427,14 @@ let vcycle ~config ~cancel ~seed g =
   done;
   (!cap, !side)
 
-(* The determinism, caching and metrics plumbing below mirrors the flat
-   kernels in heuristics.ml and honors the same contract (seeds drawn
-   before the cache lookup, degraded results never cached, ties toward
-   the earliest restart). *)
-
-let default_rng () = Random.State.make [| 0x5eed |]
-
-let derive_seeds rng k =
-  let seeds = Array.make k 0 in
-  for i = 0 to k - 1 do
-    seeds.(i) <- Random.State.bits rng
-  done;
-  seeds
-
-let by_capacity (c1, _) (c2, _) = Stdlib.compare c1 c2
-
-let cut_encode (c, side) =
-  [ ("value", Codec.Int c); ("witness", Codec.bits side) ]
-
-let cut_decode n payload =
-  match
-    (Codec.get_int payload "value", Codec.get_bits payload "witness" ~capacity:n)
-  with
-  | Some c, Some side -> Some (c, side)
-  | _ -> None
-
-let cut_verify g (c, side) =
-  let n = G.n_nodes g in
-  let card = Bitset.cardinal side in
-  card >= n / 2
-  && card <= (n + 1) / 2
-  && Bfly_graph.Traverse.boundary_edges g side = c
-
 let bisect ?rng ?(restarts = 4) ?(config = default_config) ?cancel g =
-  let rng = match rng with Some r -> r | None -> default_rng () in
   let cancel = Cancel.resolve cancel in
-  Span.time ~name:"heuristics.ml" @@ fun () ->
-  let seeds = derive_seeds rng restarts in
-  let key =
-    Key.make ~solver:"cuts.heuristics.ml" ~salt:"ml/1"
-      ~params:
-        [
-          ("restarts", string_of_int restarts);
-          ("matching_ratio", string_of_float config.matching_ratio);
-          ("coarsening_threshold", string_of_int config.coarsening_threshold);
-        ]
-      ~fingerprint:(Fp.int_array (Fp.graph Fp.seed g) seeds)
-  in
-  match
-    Cache.lookup ~key ~decode:(cut_decode (G.n_nodes g)) ~verify:(cut_verify g)
-  with
-  | Some v -> v
-  | None ->
-      let restart i = vcycle ~config ~cancel ~seed:seeds.(i) g in
-      let c, side = Parallel.best_of ~compare:by_capacity ~restarts restart in
-      Metrics.add (Metrics.counter "heuristics.ml.restarts") restarts;
-      Metrics.set
-        (Metrics.gauge "heuristics.ml.best_capacity")
-        (float_of_int c);
-      if not (Cancel.stop cancel) then Cache.put ~key ~encode:cut_encode (c, side);
-      (c, side)
+  Restarts.run ~kernel:"ml" ~salt:"ml/1"
+    ~params:
+      [
+        ("restarts", string_of_int restarts);
+        ("matching_ratio", string_of_float config.matching_ratio);
+        ("coarsening_threshold", string_of_int config.coarsening_threshold);
+      ]
+    ?rng ~restarts ~cancel g
+  @@ fun seed -> vcycle ~config ~cancel ~seed g

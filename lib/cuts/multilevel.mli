@@ -39,8 +39,8 @@
     runs and the best cut ties toward the earliest restart
     ({!Bfly_graph.Parallel.best_of}), so results are identical at any
     [BFLY_DOMAINS]. Results are cached in {!Bfly_cache} keyed on (graph,
-    parameters, derived seeds) under solver [cuts.heuristics.ml] with the
-    same contract as the flat kernels: seeds are drawn {e before} the
+    parameters, derived seeds) under solver [cuts.heuristics.ml] through
+    the same {!Restarts} plumbing as the flat kernels: seeds are drawn {e before} the
     lookup, so a hit returns the identical cut and leaves the rng stream
     in the identical state, and entries are re-verified (balance,
     recounted capacity) before being served. A triggered

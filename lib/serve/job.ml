@@ -5,6 +5,7 @@ module Ccc_net = Bfly_networks.Ccc
 module Budget = Bfly_resil.Budget
 module Cancel = Bfly_resil.Cancel
 module Invariants = Bfly_check.Invariants
+module Json = Bfly_obs.Json
 
 module Fabric = Bfly_networks.Fabric
 
@@ -81,7 +82,7 @@ let solver_of_string = function
 let graph_of net n =
   match net with
   | Fabric spec -> (
-      (* the spec fixes the size; [n] is pinned to 0 by the parsers so the
+      (* the spec fixes the size; [n] is pinned to 0 by {!parse} so the
          fingerprint stays canonical *)
       match Fabric.create spec with
       | fab -> Ok (Fabric.graph fab, Fabric.name_of fab)
@@ -101,6 +102,97 @@ let graph_of net n =
               else
                 Ok
                   (Ccc_net.graph (Ccc_net.create ~log_n), Printf.sprintf "CCC_%d" n)))
+
+(* ---- field decoding ---- *)
+
+let ( let* ) = Result.bind
+
+(* The field table of job.mli, declared once: each field's name, type and
+   default appears in exactly one line below. *)
+let parse ~job get =
+  let field what conv k =
+    match get k with
+    | None -> Ok None
+    | Some v -> (
+        match conv v with
+        | Some x -> Ok (Some x)
+        | None -> Error (Printf.sprintf "field %S must be %s" k what))
+  in
+  let int = field "an integer" Json.to_int_opt in
+  let bool = field "a boolean" Json.to_bool_opt in
+  let str = field "a string" Json.to_string_opt in
+  let int_list =
+    field "a list of integers" (function
+      | Json.List l ->
+          List.fold_right
+            (fun v acc ->
+              Option.bind acc (fun tl ->
+                  Option.map (fun i -> i :: tl) (Json.to_int_opt v)))
+            l (Some [])
+      | _ -> None)
+  in
+  let ( |? ) r d = Result.map (Option.value ~default:d) r in
+  let required k r =
+    let* v = r k in
+    Option.to_result ~none:(Printf.sprintf "field %S is required" k) v
+  in
+  (* fabric specs fix the instance size themselves; [n] is pinned to 0 so
+     equal jobs coalesce under one fingerprint, and a contradictory
+     explicit [n] is rejected rather than ignored *)
+  let instance () =
+    let* net = Result.bind (required "network" str) net_of_string in
+    if is_fabric net then
+      match get "n" with
+      | None -> Ok (net, 0)
+      | Some _ ->
+          Error
+            "field \"n\" must be omitted for fabric networks (the spec \
+             fixes the size)"
+    else Result.map (fun n -> (net, n)) (required "n" int)
+  in
+  let expansion kind =
+    let* net, n = instance () in
+    let* k = required "k" int in
+    let* exact = bool "exact" |? false in
+    let* seed = int "seed" |? 1 in
+    Ok (Expansion { kind; net; n; k; exact; seed })
+  in
+  match job with
+  | "bw" ->
+      let* solver = Result.bind (str "solver" |? "exact") solver_of_string in
+      let* net, n = instance () in
+      let* seed = int "seed" |? 1 in
+      let* restarts = int "restarts" |? 4 in
+      let* max_nodes = int "max_nodes" in
+      let* resume = bool "resume" |? false in
+      Ok (Bw { solver; net; n; seed; restarts; max_nodes; resume })
+  | "mos" ->
+      let* j = required "j" int in
+      Ok (Mos { j })
+  | "ee" -> expansion `Ee
+  | "ne" -> expansion `Ne
+  | "expansion" -> expansion `Both
+  | "check" ->
+      let* seed = int "seed" |? 42 in
+      let* rounds = int "rounds" |? 5 in
+      Ok (Check { seed; rounds })
+  | "campaign" ->
+      let* degree = int "degree" |? 3 in
+      let* seeds = int "seeds" |? 3 in
+      let* sizes = int_list "sizes" |? [ 32; 64 ] in
+      (* serve caps: a campaign is the most expensive job in the
+         vocabulary, and a shared endpoint must bound what one request can
+         pin the pool with (Campaign.run validates the rest) *)
+      if seeds > 16 then Error "field \"seeds\" is capped at 16 when serving"
+      else if List.length sizes > 8 then
+        Error "field \"sizes\" is capped at 8 sizes when serving"
+      else if List.exists (fun n -> n > 1024) sizes then
+        Error "served campaign sizes are capped at n <= 1024"
+      else Ok (Campaign { degree; sizes; seeds })
+  | s ->
+      Error
+        (Printf.sprintf
+           "unknown job %S (bw|mos|ee|ne|expansion|check|campaign|stats)" s)
 
 (* ---- fingerprints ---- *)
 
@@ -259,7 +351,7 @@ let run_check ~seed ~rounds =
   if rounds < 1 then Error "rounds must be >= 1"
   else
     let json, _ok = Bfly_check.Run.execute ~seed ~rounds ~smoke:true () in
-    Ok (Bfly_obs.Json.to_string json ^ "\n")
+    Ok (Json.to_string json ^ "\n")
 
 let run ?deadline spec =
   match spec with

@@ -24,7 +24,8 @@ type net =
   | Ccc
   | Fabric of Bfly_networks.Fabric.spec
       (** A data-center product network; the spec fixes the instance size,
-          so the [n] field of jobs on fabrics is pinned to [0]. *)
+          so the [n] field of jobs on fabrics is pinned to [0]
+          (see {!parse}). *)
 
 type solver = Exact | Kl | Fm | Sa | Spectral | Ml
 
@@ -85,6 +86,50 @@ val graph_of : net -> int -> (Bfly_graph.Graph.t * string, string) result
     the canonical fabric spec such as [mesh:2x4x8]); errors match the
     CLI's ("n must be a power of two", …). Fabric nets ignore [n] — the
     spec already fixes the size. *)
+
+(** {1 Job fields}
+
+    {!parse} is the one decoder from named fields to a {!spec}: the wire
+    protocol ({!Protocol}) hands it the request object's members, and the
+    [bfly_tool bw|expansion|mos] subcommands hand it their flag values
+    under the same names. The field table:
+
+    {v
+    job        field     type        default
+    bw         solver    string      "exact"  (exact|kl|fm|sa|spectral|ml)
+               network   string      required
+               n         int         required; must be omitted for fabrics
+               seed      int         1        (kl|fm|sa|ml)
+               restarts  int         4        (kl|fm|sa|ml)
+               max_nodes int         none     (exact: step budget)
+               resume    bool        false    (exact: continue checkpoint)
+    ee|ne|     network   string      required
+    expansion  n         int         required; must be omitted for fabrics
+               k         int         required
+               exact     bool        false
+               seed      int         1        (annealer, when not exact)
+    mos        j         int         required
+    check      seed      int         42
+               rounds    int         5
+    campaign   degree    int         3
+               sizes     int list    [32, 64]  capped: 8 sizes, n <= 1024
+               seeds     int         3         capped: 16
+    v}
+
+    A fabric [network] ([mesh:], [torus:], …) fixes the instance size, so
+    [n] is pinned to [0] and an explicit [n] is an error. Campaign grids
+    are capped because a campaign is the most expensive job a shared
+    endpoint serves. Unknown fields are ignored. Range checks that do not
+    depend on the field source ([restarts >= 1], [j >= 1], [k] in range,
+    …) stay in {!run}, so specs built directly are checked too. *)
+
+val parse :
+  job:string -> (string -> Bfly_obs.Json.t option) -> (spec, string) result
+(** [parse ~job field] decodes the fields of a [job]
+    ([bw|mos|ee|ne|expansion|check|campaign]) through the lookup [field].
+    Errors name the offending field (["field \"k\" is required"],
+    ["field \"seed\" must be an integer"], …); they are the texts both the
+    wire and the CLI report. *)
 
 val fingerprint : ?deadline:Bfly_resil.Budget.t -> spec -> string
 (** Canonical one-line identity of a [(spec, deadline)] pair. Equal

@@ -13,15 +13,15 @@
     {"id":"r6","job":"stats"}
     v}
 
-    [job] selects the solver family: [bw] (with [solver] one of
-    [exact|kl|fm|sa|spectral], plus [max_nodes]/[resume] for [exact]),
-    [mos], [ee]/[ne]/[expansion], [check], [campaign] (a random-regular
-    bisection sweep; served grids are capped at 16 seeds, 8 sizes and
-    [n <= 1024] so one request cannot pin the pool), or [stats] (live
-    server introspection, answered immediately, never queued). [id] is any string
-    (echoed verbatim in the response; assigned [r<N>] when omitted);
-    [deadline] is a per-request budget in [Bfly_resil.Budget.of_string]
-    syntax (["250ms"], ["1.5s"]). Unknown fields are ignored.
+    [job] selects the solver family — [bw], [mos], [ee]/[ne]/[expansion],
+    [check], [campaign] — or [stats] (live server introspection, answered
+    immediately, never queued). A job's own fields, their defaults and
+    the serve caps are the field table of {!Job.parse}, the decoder the
+    one-shot CLI shares. This module reads only the envelope: [id] is any
+    string (echoed verbatim in the response; assigned [r<N>] when
+    omitted); [deadline] is a per-request budget in
+    [Bfly_resil.Budget.of_string] syntax (["250ms"], ["1.5s"]). Unknown
+    fields are ignored; a duplicated key rejects the request.
 
     Responses:
 

@@ -433,15 +433,22 @@ let test_fabric_jobs () =
       Alcotest.(check string)
         "served bytes = one-shot bytes" text (str_field obj "output")
   | Error e -> Alcotest.failf "one-shot run failed: %s" e);
-  let with_n =
-    {|{"id":"f2","job":"bw","solver":"ml","network":"mesh:4x4","n":16}|}
-  in
-  let obj = parse_response (List.hd (replay server [ with_n ])) in
-  checkb "explicit n rejected" false (bool_field obj "ok");
-  Alcotest.(check string)
-    "n-rejection message"
-    "field \"n\" must be omitted for fabric networks (the spec fixes the size)"
-    (str_field obj "error");
+  (* every job that takes a network shares the rule, through Job.parse *)
+  List.iter
+    (fun job ->
+      let with_n =
+        Printf.sprintf
+          {|{"id":"f2","job":%S,"solver":"ml","network":"mesh:4x4","n":16,"k":2}|}
+          job
+      in
+      let obj = parse_response (List.hd (replay server [ with_n ])) in
+      checkb (job ^ ": explicit n rejected") false (bool_field obj "ok");
+      Alcotest.(check string)
+        (job ^ ": n-rejection message")
+        "field \"n\" must be omitted for fabric networks (the spec fixes the \
+         size)"
+        (str_field obj "error"))
+    [ "bw"; "ee"; "ne"; "expansion" ];
   (* expansion jobs accept fabric specs through the same parser *)
   let exp_line = {|{"id":"f3","job":"ee","network":"mesh:3x3","k":4,"exact":true}|} in
   let obj = parse_response (List.hd (replay server [ exp_line ])) in
@@ -449,6 +456,50 @@ let test_fabric_jobs () =
   checkb "output names the canonical spec" true
     (let out = str_field obj "output" in
      String.length out >= 8 && String.sub out 0 8 = "mesh:3x3")
+
+let parse_error line =
+  match Protocol.parse_request ~default_id:"t" line with
+  | Ok _ -> Alcotest.failf "parsed, expected an error: %s" line
+  | Error (m, _) -> m
+
+(* The default table of job.mli, pinned: a minimal request gets exactly
+   these values, and a mistyped field names itself. *)
+let test_job_field_defaults () =
+  (match
+     Protocol.parse_request ~default_id:"t"
+       {|{"job":"bw","network":"butterfly","n":8}|}
+   with
+  | Ok { Protocol.payload = Protocol.Job { spec = Job.Bw b; deadline = None }; _ }
+    ->
+      checkb "solver exact" true (b.Job.solver = Job.Exact);
+      check "seed" 1 b.seed;
+      check "restarts" 4 b.restarts;
+      checkb "max_nodes unset" true (b.max_nodes = None);
+      checkb "resume off" false b.resume
+  | _ -> Alcotest.fail "minimal bw request did not parse to a bw job");
+  (match
+     Protocol.parse_request ~default_id:"t" {|{"job":"check"}|}
+   with
+  | Ok
+      {
+        Protocol.payload =
+          Protocol.Job { spec = Job.Check { seed = 42; rounds = 5 }; _ };
+        _;
+      } ->
+      ()
+  | _ -> Alcotest.fail "minimal check request: defaults seed 42, rounds 5");
+  List.iter
+    (fun (line, want) ->
+      Alcotest.(check string) line want (parse_error line))
+    [
+      ( {|{"job":"bw","network":"butterfly","n":8,"seed":"7"}|},
+        "field \"seed\" must be an integer" );
+      ( {|{"job":"ee","network":"butterfly","n":8,"k":2,"exact":1}|},
+        "field \"exact\" must be a boolean" );
+      ({|{"job":"ne","network":"butterfly","n":8}|}, "field \"k\" is required");
+      ({|{"job":"bw","solver":"ml","n":8}|}, "field \"network\" is required");
+      ({|{"job":7}|}, "field \"job\" must be a string");
+    ]
 
 (* ---- concurrency: real transports, real client threads ---- *)
 
@@ -862,6 +913,7 @@ let suite =
     case "duplicate keys reject the request" test_duplicate_key_rejected;
     case "fabric jobs: byte-identity, n rejected, expansion"
       test_fabric_jobs;
+    case "job fields: default table and type errors" test_job_field_defaults;
     case "solver errors match the one-shot CLI" test_solver_errors;
     case "latency reservoir quantiles" test_latency_quantiles;
     slow_case "concurrent clients over unix socket: ordered, byte-identical"
